@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, ModelParams, SeriesControl
+from .core import ConvergenceError, DomainError, ModelParams, SeriesControl
 from . import analytics, validation
 from .simulator import ConfigError, SimConfig, simulate
 
@@ -319,7 +319,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, DomainError, ConfigError) as e:
+    except (ValueError, DomainError, ConfigError, ConvergenceError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

@@ -95,14 +95,12 @@ class RandomSource:
     Backed by numpy's PCG64 (documented, seedable, period 2^128); the stream
     name is hashed through SHA-256 so distinct names give decorrelated
     sub-streams of the same seed. Exponential and integer-shape Gamma
-    variates are built from uniforms by inverse transform; Poisson uses
-    CDF inversion for means below 30 and an exact chunk-sum of sub-30
-    Poissons for larger means.
+    variates are built from uniforms by inverse transform; Poisson variates
+    are numpy's own (Generator.poisson), so for one seed they are fixed for
+    a given numpy install.
 
     Instances are single-owner: never share one across threads.
     """
-
-    _CHUNK_MEAN = 30.0
 
     def __init__(self, seed: int, stream: str = ""):
         self.seed = int(seed) & _U64
@@ -135,35 +133,6 @@ class RandomSource:
     def poisson(self, mean, size: int | None = None):
         """Poisson variates; `mean` may be a scalar or an array."""
         m = np.asarray(mean, dtype=float)
-        scalar = m.ndim == 0 and size is None
-        if size is not None:
-            m = np.broadcast_to(m, (int(size),)).astype(float)
-        m = np.atleast_1d(m)
         if not np.all(np.isfinite(m)) or np.any(m < 0):
             raise DomainError("poisson mean must be finite and >= 0")
-        chunks = np.maximum(1, np.ceil(m / self._CHUNK_MEAN)).astype(np.int64)
-        per = m / chunks
-        out = np.zeros(m.shape, dtype=np.int64)
-        for j in range(int(chunks.max()) if m.size else 0):
-            active = chunks > j
-            out[active] += self._poisson_inversion(per[active])
-        return int(out[0]) if scalar else out
-
-    def _poisson_inversion(self, means: np.ndarray) -> np.ndarray:
-        # means <= 30 here, so the CDF walk terminates quickly
-        u = self._gen.random(means.shape)
-        k = np.zeros(means.shape, dtype=np.int64)
-        p = np.exp(-means)
-        cum = p.copy()
-        pending = u > cum
-        cap = int(2 * means.max() + 200) if means.size else 0
-        it = 0
-        while pending.any():
-            it += 1
-            if it > cap:
-                raise ConvergenceError("poisson inversion failed to terminate")
-            k[pending] += 1
-            p[pending] *= means[pending] / k[pending]
-            cum[pending] += p[pending]
-            pending = u > cum
-        return k
+        return self._gen.poisson(m, size)

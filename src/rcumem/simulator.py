@@ -1,28 +1,30 @@
-"""Discrete-event simulation of the memoryless RCU update/read process.
+"""Simulation of the memoryless RCU update/read process, as an array pass.
 
 A writer publishes copies at exponential(alpha) intervals; readers arrive
 Poisson(lambda) and hold a lock on the then-current copy for an
 exponential(mu) time. A replaced copy with no outstanding locks is
 reclaimed immediately; otherwise it stays active until its last lock is
-released. The loop accumulates the time integrals of N(t) (active copies)
-and of the sawtooth age exactly per inter-event segment.
+released. So copy i occupies memory on [P_i, G_i), where P_i is its publish
+time and G_i = max(P_{i+1}, the last completion among its readers), and
+N(t) is the number of those intervals that cover t. Every statistic is an
+integral over these intervals, the readers' [arrival, completion)
+intervals and the sawtooth age, clipped to [warmup, horizon]. Publications
+are handled in slabs of about 16k events, carrying only the intervals still
+open from one slab to the next, so memory does not grow with the horizon.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .core import DomainError, ModelParams, RandomSource, validate
 
-# event kinds; ties are broken in this order, then by insertion sequence
-PUBLISH, READ_ARRIVAL, READ_COMPLETION = 0, 1, 2
-
-_INF = math.inf
+# publications plus read arrivals handled per array pass
+_SLAB_EVENTS = 16384
 
 
 class ConfigError(ValueError):
@@ -50,6 +52,10 @@ class SimConfig:
             raise ConfigError(f"horizon_publications must be >= 1000, got {self.horizon_publications}")
         if self.batch_count < 10:
             raise ConfigError(f"batch_count must be >= 10, got {self.batch_count}")
+        if self.batch_count > self.horizon_publications:
+            raise ConfigError(
+                f"batch_count must be <= horizon_publications ({self.horizon_publications}), got {self.batch_count}"
+            )
         if self.warmup_time is not None and self.warmup_time < 0:
             raise ConfigError(f"warmup_time must be >= 0, got {self.warmup_time}")
 
@@ -78,28 +84,6 @@ class SimStats:
     update_records: tuple[UpdateRecord, ...] = ()
 
 
-class _ExpStream:
-    """Block-buffered exponential draws from one named sub-stream."""
-
-    __slots__ = ("_rs", "_rate", "_buf", "_i", "_block")
-
-    def __init__(self, rs: RandomSource, rate: float, block: int = 16384):
-        self._rs = rs
-        self._rate = rate
-        self._block = block
-        self._buf = rs.exponential(rate, block)
-        self._i = 0
-
-    def next(self) -> float:
-        i = self._i
-        buf = self._buf
-        if i == len(buf):
-            buf = self._buf = self._rs.exponential(self._rate, self._block)
-            i = 0
-        self._i = i + 1
-        return float(buf[i])
-
-
 def _default_warmup(params: ModelParams) -> float:
     w = max(100.0 / params.alpha, 100.0 / params.mu)
     if params.lam > 0:
@@ -110,135 +94,132 @@ def _default_warmup(params: ModelParams) -> float:
 def _batch_ci(batch_sums: np.ndarray, batch_durs: np.ndarray) -> float:
     means = batch_sums / batch_durs
     b = len(means)
-    tq = stats.t.ppf(0.975, b - 1)
+    tq = stdtrit(b - 1, 0.975)
     return float(tq * means.std(ddof=1) / math.sqrt(b))
 
 
 def simulate(params: ModelParams, config: SimConfig) -> SimStats:
-    """Run the event loop and return time-averaged statistics.
+    """Simulate until the horizon and return time-averaged statistics.
 
     Deterministic: identical (params, config) give bit-identical results.
+    Each stream ("writes", "arrivals", "services") is drawn in order, so
+    the sample path does not depend on how the run is cut into slabs. At
+    equal times a publication comes before a read arrival, and a read
+    arrival before a completion.
     """
     validate(params)
     alpha, lam, mu = params.alpha, params.lam, params.mu
     warmup = config.warmup_time if config.warmup_time is not None else _default_warmup(params)
 
-    wexp = _ExpStream(RandomSource(config.seed, "writes"), alpha)
-    aexp = _ExpStream(RandomSource(config.seed, "arrivals"), lam) if lam > 0 else None
-    sexp = _ExpStream(RandomSource(config.seed, "services"), mu) if lam > 0 else None
+    writes = RandomSource(config.seed, "writes")
+    arrivals = RandomSource(config.seed, "arrivals")
+    services = RandomSource(config.seed, "services")
+    slab = max(1, int(_SLAB_EVENTS * alpha / (alpha + lam)))
+    read_block = max(1, _SLAB_EVENTS - slab)
 
     horizon = config.horizon_publications
     nb = config.batch_count
-    boundaries = [((i + 1) * horizon) // nb for i in range(nb)]
+    boundaries = np.array([((i + 1) * horizon) // nb for i in range(nb)])
 
     want_hist = config.sample_n_distribution
     hist_cap = 1 + math.ceil(10.0 * lam / mu) + 20
-    hist: dict[int, float] = {}
+    hist = np.zeros(hist_cap + 1)
 
-    t = 0.0
-    next_pub = wexp.next()
-    next_arr = aexp.next() if aexp else _INF
-    completions: list[tuple[float, int, int]] = []  # (time, insertion seq, update index)
-    seq = 0
-    locks: dict[int, int] = {0: 0}
-    current = 0
-    stale_active = 0  # stale updates with >= 1 lock; N(t) = 1 + stale_active
-    inflight = 0
-    gen_ts = 0.0  # generation timestamp of current update (previous publish time)
-    prev_pub = 0.0
-
-    # lifecycle records: idx -> [publish_time, replace_time, residual, grace_end]
-    rec_open: dict[int, list] = {}
-    rec_done: list[UpdateRecord] = []
-    rec_left = config.record_updates
-
-    area_n = 0.0
-    area_age = 0.0
-    area_reads = 0.0
+    first = 0  # index of the copy current at the slab's start
+    origin = start = 0.0  # publish times of the copy before it and of it
+    open_grace = np.empty(0)  # grace ends after `start` of earlier copies
+    open_reads = np.empty(0)  # completions after `start` of earlier reads
+    arr = comp = np.empty(0)  # reads drawn that arrive at or after `start`
+    last_arr = 0.0
     pubs = 0
     reads_served = 0
+    area_n = area_age = area_reads = 0.0
     snap_n: list[float] = []
     snap_age: list[float] = []
     snap_t: list[float] = []
-    bi = 0
+    rec_left = config.record_updates
+    recs: list[tuple[np.ndarray, ...]] = []
 
-    while True:
-        tc = completions[0][0] if completions else _INF
-        # ties resolve as Publish < ReadArrival < ReadCompletion
-        if next_pub <= next_arr and next_pub <= tc:
-            te, kind = next_pub, PUBLISH
-        elif next_arr <= tc:
-            te, kind = next_arr, READ_ARRIVAL
-        else:
-            te, kind = tc, READ_COMPLETION
+    done = False
+    while not done:
+        # pub[k] is the publish time of copy first+k; cumsum adds left to
+        # right, so these are the times a one-draw-at-a-time loop reaches
+        pub = np.cumsum(np.concatenate(([start], writes.exponential(alpha, slab))))
+        k0 = max(1, int(np.searchsorted(pub, warmup, side="right")))  # first post-warmup publication
+        if pubs + len(pub) - k0 >= horizon:
+            pub = pub[: k0 + horizon - pubs]
+            done = True
+        n_new = len(pub) - k0
+        end = pub[-1]
+        stop = end if done else math.inf
 
-        if te > warmup:
-            s = t if t > warmup else warmup
-            dt = te - s
-            area_n += (1 + stale_active) * dt
-            age_s = s - gen_ts
-            area_age += age_s * dt + 0.5 * dt * dt
-            area_reads += inflight * dt
+        if lam > 0:
+            while len(arr) == 0 or arr[-1] < end:
+                new = np.cumsum(np.concatenate(([last_arr], arrivals.exponential(lam, read_block))))[1:]
+                last_arr = float(new[-1])
+                arr = np.concatenate((arr, new))
+                comp = np.concatenate((comp, new + services.exponential(mu, read_block)))
+        cut = int(np.searchsorted(arr, end, side="left"))
+        a_t, c_t = arr[:cut], comp[:cut]
+        arr, comp = arr[cut:], comp[cut:]
+        win = np.searchsorted(pub, a_t, side="right") - 1
+        grace = pub[1:].copy()
+        np.maximum.at(grace, win, c_t)
+
+        g_end = np.concatenate((open_grace, grace))
+        r_end = np.concatenate((open_reads, c_t))
+        lo = max(start, warmup)
+        if end > lo:
+            # N(t): a sorted +1/-1 sweep over the copies' intervals
+            g_start = np.maximum(np.concatenate((np.full(len(open_grace), start), pub[:-1])), lo)
+            g_stop = np.minimum(g_end, end)
+            keep = g_stop > g_start
+            times = np.concatenate((g_start[keep], g_stop[keep]))
+            steps = np.repeat(np.array([1, -1], dtype=np.int64), int(keep.sum()))
+            order = np.argsort(times, kind="stable")
+            times = times[order]
+            level = np.cumsum(steps[order])
+            dur = np.diff(times)
+            cum_n = np.concatenate(([0.0], np.cumsum(level[:-1] * dur)))
             if want_hist:
-                n = 1 + stale_active
-                if n > hist_cap:
-                    n = hist_cap
-                hist[n] = hist.get(n, 0.0) + dt
-        t = te
+                hist += np.bincount(np.minimum(level[:-1], hist_cap), weights=dur, minlength=hist_cap + 1)
 
-        if kind == PUBLISH:
-            if current in rec_open:
-                r = rec_open[current]
-                r[1] = t
-                r[2] = locks[current]
-                if locks[current] == 0:
-                    r[3] = t
-                    rec_done.append(UpdateRecord(current, r[0], t, 0, t))
-                    del rec_open[current]
-            if locks[current] == 0:
-                del locks[current]  # reclaimed immediately
-            else:
-                stale_active += 1
-            current += 1
-            locks[current] = 0
-            if rec_left > 0 and t > warmup:
-                rec_open[current] = [t, None, 0, None]
-                rec_left -= 1
-            gen_ts = prev_pub
-            prev_pub = t
-            next_pub = t + wexp.next()
-            if t > warmup:
-                pubs += 1
-                if pubs == boundaries[bi]:
-                    snap_n.append(area_n)
-                    snap_age.append(area_age)
-                    snap_t.append(t)
-                    bi += 1
-                    if pubs == horizon:
-                        break
-        elif kind == READ_ARRIVAL:
-            locks[current] += 1
-            inflight += 1
-            heapq.heappush(completions, (t + sexp.next(), seq, current))
-            seq += 1
-            next_arr = t + aexp.next()
-        else:
-            _, _, idx = heapq.heappop(completions)
-            locks[idx] -= 1
-            inflight -= 1
-            if t > warmup:
-                reads_served += 1
-            if locks[idx] == 0 and idx != current:
-                del locks[idx]
-                stale_active -= 1
-                if idx in rec_open:
-                    r = rec_open.pop(idx)
-                    rec_done.append(UpdateRecord(idx, r[0], r[1], r[2], t))
+            # sawtooth age: while copy first+k is current, its age runs from pub[k-1]
+            w0 = np.maximum(pub[:-1], lo)
+            dt = np.maximum(pub[1:] - w0, 0.0)
+            born = np.concatenate(([origin], pub[:-2]))
+            cum_age = np.cumsum((w0 - born) * dt + 0.5 * dt * dt)
 
-    # no lock leaks: outstanding locks must equal pending completions
-    assert sum(locks.values()) == inflight == len(completions)
+            r_start = np.maximum(np.concatenate((np.full(len(open_reads), start), a_t)), lo)
+            area_reads += float(np.maximum(np.minimum(r_end, end) - r_start, 0.0).sum())
+            ended = r_end[r_end <= end]
+            reads_served += int(np.count_nonzero((ended > warmup) & (ended < stop)))
 
-    total_t = t - warmup
+            # batch boundaries are publication times, so both areas are exact there
+            j = k0 - 1 - pubs + boundaries[(boundaries > pubs) & (boundaries <= pubs + n_new)]
+            tau = pub[j]
+            i = np.searchsorted(times, tau, side="right") - 1
+            snap_n.extend((area_n + cum_n[i] + level[i] * (tau - times[i])).tolist())
+            snap_age.extend((area_age + cum_age[j - 1]).tolist())
+            snap_t.extend(tau.tolist())
+            area_n += float(cum_n[-1])
+            area_age += float(cum_age[-1])
+
+        if rec_left > 0:
+            ks = np.flatnonzero(pub[:-1] > warmup)[:rec_left]
+            if len(ks):
+                late = c_t >= pub[win + 1]
+                residual = np.bincount(win[late], minlength=len(pub) - 1)
+                recs.append((first + ks, pub[ks], pub[ks + 1], residual[ks], grace[ks]))
+                rec_left -= len(ks)
+
+        open_grace = g_end[g_end > end]
+        open_reads = r_end[r_end > end]
+        pubs += n_new
+        first += len(pub) - 1
+        origin, start = float(pub[-2]), float(end)
+
+    total_t = start - warmup
     starts_n = np.concatenate(([0.0], snap_n[:-1]))
     starts_age = np.concatenate(([0.0], snap_age[:-1]))
     starts_t = np.concatenate(([warmup], snap_t[:-1]))
@@ -248,12 +229,16 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
 
     histogram = None
     if want_hist:
-        histogram = {n: w / total_t for n, w in sorted(hist.items())}
+        histogram = {n: float(w) / total_t for n, w in enumerate(hist) if w > 0}
 
-    # updates still open at the horizon keep None end fields
-    for idx, r in sorted(rec_open.items()):
-        rec_done.append(UpdateRecord(idx, r[0], r[1], r[2], r[3]))
-    rec_done.sort(key=lambda u: u.index)
+    # a copy still locked at the horizon has no grace end yet
+    records = [
+        UpdateRecord(int(i), float(p), float(r), int(n), float(g) if n == 0 or g < start else None)
+        for cols in recs
+        for i, p, r, n, g in zip(*cols)
+    ]
+    if rec_left > 0:
+        records.append(UpdateRecord(first, start, None, 0, None))
 
     return SimStats(
         mean_active_updates=area_n / total_t,
@@ -264,7 +249,7 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
         reads_served=reads_served,
         mean_busy_readers=area_reads / total_t,
         n_histogram=histogram,
-        update_records=tuple(rec_done),
+        update_records=tuple(records),
     )
 
 

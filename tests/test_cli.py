@@ -68,6 +68,13 @@ class TestAnalytic:
         assert code == 2
         assert out == ""  # nothing written on error
 
+    @pytest.mark.parametrize("alpha,lam", [("10000", "10"), ("1", "1e300")])
+    def test_series_cap_exit_2(self, capsys, alpha, lam):
+        code, out, err = run(capsys, "analytic", "--alpha", alpha, "--lambda", lam)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_monotone_in_lambda(self, capsys):
         code, out, _ = run(capsys, "analytic", "--alpha", "2", "--lambda", "0:20:11", "--mu", "1")
         assert code == 0
@@ -92,6 +99,15 @@ class TestSimulate:
         row = out.splitlines()[1].split(",")
         assert float(row[9]) == pytest.approx(1.0, rel=0.02)  # sim_age vs 2/alpha
         assert "CI half-widths" in err
+
+    def test_more_batches_than_publications_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--alpha", "1", "--lambda", "1",
+            "--publications", "1000", "--batches", "2000",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_histogram_sidecar(self, capsys, tmp_path):
         out_path = str(tmp_path / "rows.csv")

@@ -1,6 +1,7 @@
 import math
+import tracemalloc
+from collections import Counter
 
-import numpy as np
 import pytest
 
 from rcumem.core import DomainError, ModelParams, RandomSource
@@ -22,6 +23,7 @@ class TestSimConfig:
             {"horizon_publications": 999},
             {"batch_count": 9},
             {"warmup_time": -1.0},
+            {"horizon_publications": 1000, "batch_count": 1001},
         ],
     )
     def test_invalid(self, kw):
@@ -73,6 +75,141 @@ class TestSimulate:
                 assert r.grace_end_time > r.replace_time
             else:
                 assert r.grace_end_time == r.replace_time
+
+
+# SimStats of the one-event-at-a-time heap simulator this package used to
+# ship, on the same (seed, stream) draws. "readers" ends with the copy
+# replaced at the final publication (no readers, so its grace ends then) and
+# a locked copy left open; "fast_writer" has a warmup of ~18 slabs.
+PATHWISE_CASES = {
+    "readers": ((1, 3, 1), dict(seed=1, horizon_publications=20_000, sample_n_distribution=True, record_updates=20_000)),
+    "no_readers": ((2, 0, 1), dict(seed=3, horizon_publications=5_000, sample_n_distribution=True, record_updates=50)),
+    "fast_writer": ((3000, 10, 1), dict(seed=9, horizon_publications=40_000, sample_n_distribution=True, record_updates=40_000)),
+}
+PATHWISE_GOLDEN = {
+    "readers": {
+        "mean_active_updates": 2.005677885491068,
+        "mean_age": 1.9990237659488583,
+        "ci_half_width_n": 0.02213016333821433,
+        "ci_half_width_age": 0.043540868701212744,
+        "publications": 20000,
+        "reads_served": 60010,
+        "mean_busy_readers": 3.017363015822356,
+        "n_histogram": {
+            1: 0.3203519247823733, 2: 0.4214079001328472, 3: 0.2003745684568375, 4: 0.04894885267822326,
+            5: 0.008025159142179808, 6: 0.0007818263255940269, 7: 0.0001038571603991455,
+            8: 5.911321545809523e-06,
+        },
+        "indices": (104, 20103),
+        "residuals": {0: 6333, 1: 5384, 2: 3792, 3: 2298, 4: 1266, 5: 572, 6: 231, 7: 86, 8: 30, 9: 7, 10: 1},
+        "index_residual_sum": 302282780,
+        "open_grace": [20100, 20103],
+        "publish_sum": 201420369.31950733,
+        "grace_sum": 201420276.29465446,
+        "tail": [
+            (20102, 19980.608866872302, 19980.72697740833, 0, 19980.72697740833),
+            (20103, 19980.72697740833, None, 0, None),
+        ],
+    },
+    "no_readers": {
+        "mean_active_updates": 1.0,
+        "mean_age": 1.0117435733184166,
+        "ci_half_width_n": 0.0,
+        "ci_half_width_age": 0.03677493492954838,
+        "publications": 5000,
+        "reads_served": 0,
+        "mean_busy_readers": 0.0,
+        "n_histogram": {1: 1.0},
+        "indices": (206, 255),
+        "residuals": {0: 50},
+        "index_residual_sum": 0,
+        "open_grace": [],
+        "publish_sum": 5456.967670655919,
+        "grace_sum": 5475.993545992277,
+        "tail": [
+            (254, 118.89178830735665, 119.0441892876122, 0, 119.0441892876122),
+            (255, 119.0441892876122, 119.20699688012127, 0, 119.20699688012127),
+        ],
+    },
+    "fast_writer": {
+        "mean_active_updates": 9.309931183601272,
+        "mean_age": 0.0006691058256375758,
+        "ci_half_width_n": 1.0099776646501002,
+        "ci_half_width_age": 9.949421923703294e-06,
+        "publications": 40000,
+        "reads_served": 133,
+        "mean_busy_readers": 8.372789238774033,
+        "n_histogram": {
+            4: 0.025942992557189678, 5: 0.03359633066608251, 6: 0.07990914353739945, 7: 0.09823075501860525,
+            8: 0.12503914108341008, 9: 0.18163812648604166, 10: 0.12934315912251082, 11: 0.13777744732019662,
+            12: 0.09687215079953758, 13: 0.0425351852585134, 14: 0.027648375486625614,
+            15: 0.01890792249154031, 16: 0.002559270172347032,
+        },
+        "indices": (299893, 339892),
+        "residuals": {0: 39875, 1: 124, 2: 1},
+        "index_residual_sum": 40179627,
+        "open_grace": [333390, 334637, 336067, 336713, 338566, 339892],
+        "publish_sum": 4268878.122058921,
+        "grace_sum": 4268314.225237049,
+        "tail": [
+            (339891, 113.45130541925481, 113.45130878387663, 0, 113.45130878387663),
+            (339892, 113.45130878387663, None, 0, None),
+        ],
+    },
+}
+
+
+def _pathwise_digest(stats):
+    recs = stats.update_records
+    return {
+        "mean_active_updates": stats.mean_active_updates,
+        "mean_age": stats.mean_age,
+        "ci_half_width_n": stats.ci_half_width_n,
+        "ci_half_width_age": stats.ci_half_width_age,
+        "publications": stats.publications,
+        "reads_served": stats.reads_served,
+        "mean_busy_readers": stats.mean_busy_readers,
+        "n_histogram": stats.n_histogram,
+        "indices": (recs[0].index, recs[-1].index),
+        "residuals": dict(sorted(Counter(r.residual_readers for r in recs).items())),
+        "index_residual_sum": sum(r.index * r.residual_readers for r in recs),
+        "open_grace": [r.index for r in recs if r.grace_end_time is None],
+        "publish_sum": math.fsum(r.publish_time for r in recs),
+        "grace_sum": math.fsum(r.grace_end_time for r in recs if r.grace_end_time is not None),
+        "tail": [tuple(r.__dict__.values()) for r in recs[-2:]],
+    }
+
+
+class TestPathwise:
+    @pytest.mark.parametrize("name", sorted(PATHWISE_CASES))
+    def test_matches_event_loop(self, name):
+        params, kw = PATHWISE_CASES[name]
+        stats = simulate(ModelParams(*params), SimConfig(**kw))
+        recs = stats.update_records
+        assert [r.index for r in recs] == list(range(recs[0].index, recs[-1].index + 1))
+        got, want = _pathwise_digest(stats), PATHWISE_GOLDEN[name]
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if key == "n_histogram":
+                assert list(got[key]) == list(value)
+                assert got[key] == pytest.approx(value, rel=1e-9)
+            elif key == "tail":
+                assert got[key] == [pytest.approx(r, rel=1e-9) for r in value]
+            elif isinstance(value, float):
+                assert got[key] == pytest.approx(value, rel=1e-9), key
+            else:
+                assert got[key] == value, key
+
+    def test_memory_flat_in_horizon(self):
+        def peak(horizon):
+            tracemalloc.start()
+            try:
+                simulate(ModelParams(100, 1, 1), SimConfig(seed=1, horizon_publications=horizon))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(400_000) <= 1.5 * peak(50_000)
 
 
 class TestNDistribution:
