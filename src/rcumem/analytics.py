@@ -8,6 +8,7 @@ together with the Jensen upper bound and the simple 1 + lam/mu cap.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,37 +60,75 @@ def p_ek_given_w(params: ModelParams, k: int, w: float) -> float:
     return math.exp(b * math.expm1(-params.mu * w))
 
 
+def _complement_sums(b: np.ndarray, r: float, ctrl: SeriesControl) -> np.ndarray:
+    """sum_j pois(j; b_k) * j/(r + j) for each entry of a non-increasing array b.
+
+    Each summand is bounded by the Poisson pmf, so an entry's sum stops once
+    its remaining Poisson tail mass drops below ctrl.tol; that tail mass is a
+    rigorous bound on the discarded error. Poisson weights are accumulated in
+    log space to survive large b. A smaller b has a lighter tail, so the
+    entries still running are a prefix of the array, and each step over j
+    touches only that prefix.
+    """
+    if b[0] > ctrl.max_j:
+        # the Poisson(b_k) median is above max_j, so the tail can never get below tol
+        raise ConvergenceError(f"p_ek_series: max_j={ctrl.max_j} reached at b_k={b[0]}")
+    comp = np.zeros_like(b)  # j = 0 terms are zero
+    logp = -b  # log Poisson pmf at j = 0
+    cdf = np.exp(logp)
+    live = 1.0 - cdf >= ctrl.tol
+    n = _prefix_len(live, b.size)
+    logb = np.log(b[:n])
+    p = np.empty(n)
+    j = 0
+    while n:
+        # views of the running prefix, taken again only when its last entry meets tol
+        lb, lp, cd, cm, lv, pn = logb[:n], logp[:n], cdf[:n], comp[:n], live[:n], p[:n]
+        while lv[-1]:
+            j += 1
+            if j > ctrl.max_j:
+                raise ConvergenceError(f"p_ek_series: max_j={ctrl.max_j} reached at b_k={b[n - 1]}")
+            np.subtract(lb, math.log(j), pn)
+            lp += pn
+            np.exp(lp, pn)
+            pn *= lv  # entries inside the prefix that already met tol stay as they are
+            cd += pn
+            pn *= j / (r + j)
+            cm += pn
+            np.subtract(1.0, cd, pn)
+            np.greater_equal(pn, ctrl.tol, lv)
+        n = _prefix_len(live, n)
+    return comp
+
+
+def _prefix_len(live: np.ndarray, n: int) -> int:
+    # one past the last true entry among the first n
+    last = n - 1 - int(np.argmax(live[n - 1::-1]))
+    return last + 1 if live[last] else 0
+
+
 def p_ek_series(params: ModelParams, k: int, ctrl: SeriesControl = SeriesControl()) -> float:
     """P(E_k) by the Poisson-weighted series.
 
-    Computes the complement sum_j pois(j; b_k) * j/(alpha/mu + j) and returns
-    one minus it. Each complement summand is bounded by the Poisson pmf, so
-    the sum is truncated once the remaining Poisson tail mass drops below
-    ctrl.tol; that tail mass is a rigorous bound on the discarded error.
-    Poisson weights are accumulated in log space to survive large b_k.
+    Returns one minus the complement sum_j pois(j; b_k) * j/(alpha/mu + j),
+    truncated once the remaining Poisson tail mass drops below ctrl.tol.
     """
     b = b_k(params, k)
-    if b == 0.0:
-        return 1.0
-    r = params.alpha / params.mu
-    logp = -b  # log Poisson pmf at j = 0
-    cdf = math.exp(logp)
-    comp = 0.0  # j = 0 term of the complement is zero
-    j = 0
-    while 1.0 - cdf >= ctrl.tol:
-        j += 1
-        if j > ctrl.max_j:
-            raise ConvergenceError(f"p_ek_series: max_j={ctrl.max_j} reached at b_k={b}")
-        logp += math.log(b) - math.log(j)
-        p = math.exp(logp)
-        comp += p * (j / (r + j))
-        cdf += p
-    return 1.0 - comp
+    return 1.0 - float(_complement_sums(np.array([b]), params.alpha / params.mu, ctrl)[0])
+
+
+@functools.lru_cache(maxsize=32)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # one eigensolve per node count; the arrays are shared, so read-only
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def _gauss_legendre_01(f, n: int) -> float:
     # composite rule on [0,1]: 8 panels of n nodes each
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = _leggauss(n)
     panels = 8
     total = 0.0
     h = 1.0 / panels
@@ -149,46 +188,73 @@ def _geometric_tail(rho: float, q: float, k: int) -> float:
     return rho * q**k
 
 
+def _terms_needed(rho: float, q: float, ctrl: SeriesControl, name: str) -> int:
+    """K, the first k >= 1 with rho q^k < ctrl.tol; ConvergenceError past ctrl.max_k.
+
+    The closed form ln(tol/rho)/ln(q) is rounded up, then moved by whole
+    steps until it is exactly the first k for which the term-by-term test
+    rho q^k < tol holds.
+    """
+    if _geometric_tail(rho, q, 1) < ctrl.tol:
+        return 1
+    k = ctrl.max_k + 1  # q rounded to 1, or an infinite rho, never meets tol
+    if q < 1.0 and math.isfinite(rho):
+        k = min(k, math.ceil((math.log(ctrl.tol) - math.log(rho)) / math.log(q)))
+        while k > 1 and _geometric_tail(rho, q, k - 1) < ctrl.tol:
+            k -= 1
+        while k <= ctrl.max_k and _geometric_tail(rho, q, k) >= ctrl.tol:
+            k += 1
+    if k > ctrl.max_k:
+        raise ConvergenceError(f"{name}: max_k={ctrl.max_k} reached")
+    return k
+
+
+# terms per array pass over k: memory stays flat in K, and a pass fits in cache
+_CHUNK = 8192
+
+
+def _powers(q: float, k_total: int):
+    """q^k for k = 1..k_total, as fresh arrays of up to _CHUNK terms each."""
+    for start in range(0, k_total, _CHUNK):
+        qk = np.arange(start + 1.0, min(k_total, start + _CHUNK) + 1.0)
+        yield np.power(q, qk, out=qk)
+
+
 def en_bound_jensen(params: ModelParams, ctrl: SeriesControl = SeriesControl()) -> float:
-    """Jensen upper bound 1 + sum_k q^k / (q^k + alpha/lam)."""
+    """Jensen upper bound 1 + sum_k q^k / (q^k + alpha/lam), over the same K terms as en_exact."""
     dp = validate(params)
     if params.lam == 0.0:
         return 1.0
     ratio = params.alpha / params.lam
     total = 1.0
-    k = 0
-    while True:
-        k += 1
-        if k > ctrl.max_k:
-            raise ConvergenceError(f"en_bound_jensen: max_k={ctrl.max_k} reached")
-        qk = dp.q**k
-        total += qk / (qk + ratio)
-        if _geometric_tail(dp.rho, dp.q, k) < ctrl.tol:
-            return total
+    for qk in _powers(dp.q, _terms_needed(dp.rho, dp.q, ctrl, "en_bound_jensen")):
+        den = qk + ratio
+        np.divide(qk, den, out=den)
+        total += float(den.sum())
+    return total
 
 
 def en_exact(params: ModelParams, ctrl: SeriesControl = SeriesControl()) -> FootprintReport:
     """Exact expected number of active updates, with bounds and truncation certificate.
 
-    Sums 1 + sum_k (1 - P(E_k)); each term is at most (lam/alpha) q^k, so
-    the tail after K terms is at most (lam/mu) q^K, which is driven below
-    ctrl.tol and reported as truncation_bound.
+    Sums 1 + sum_k (1 - P(E_k)) over k = 1..K as array passes; each term
+    is at most (lam/alpha) q^k, so the tail after K terms is at most
+    (lam/mu) q^K. K is the first k that drives this below ctrl.tol, and the
+    bound is reported as truncation_bound.
     """
     dp = validate(params)
     jensen = en_bound_jensen(params, ctrl)
     simple = en_bound_simple(params)
     if params.lam == 0.0:
         return FootprintReport(1.0, jensen, simple, 0, 0.0)
+    k = _terms_needed(dp.rho, dp.q, ctrl, "en_exact")
+    r = params.alpha / params.mu
     total = 1.0
-    k = 0
-    while True:
-        k += 1
-        if k > ctrl.max_k:
-            raise ConvergenceError(f"en_exact: max_k={ctrl.max_k} reached")
-        total += 1.0 - p_ek_series(params, k, ctrl)
-        tail = _geometric_tail(dp.rho, dp.q, k)
-        if tail < ctrl.tol:
-            return FootprintReport(total, jensen, simple, k, tail)
+    for b in _powers(dp.q, k):
+        b *= params.lam
+        b /= params.mu  # b_k = lam q^k / mu
+        total += float(_complement_sums(b, r, ctrl).sum())
+    return FootprintReport(total, jensen, simple, k, _geometric_tail(dp.rho, dp.q, k))
 
 
 def avg_age(params: ModelParams) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConvergenceError, DomainError, ModelParams, SeriesControl
-from . import analytics, validation
+from . import analytics
 from .simulator import ConfigError, SimConfig, simulate
 
 CSV_HEADER = "alpha,lambda,mu,en_exact,en_bound_jensen,en_bound_simple,avg_age,sim_en,sim_en_ci,sim_age,sim_age_ci,seed"
@@ -212,6 +212,8 @@ def cmd_tradeoff(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from . import validation  # scipy.integrate is slow to import; only validate needs it
+
     samples = args.samples
     seed = args.seed
     ctrl = SeriesControl(tol=args.tol)

@@ -74,9 +74,11 @@ def mc_lemma1(params: ModelParams, k: int, w: float, samples: int, seed: int) ->
     u = -w * rs.uniform(samples)
     x = rs.exponential(params.mu, samples)
     l = rs.gamma_int(k, params.alpha, samples)
-    est = float(np.mean(u + x <= l))
-    se = math.sqrt(est * (1.0 - est) / samples)
-    return McEstimate(est, se, samples)
+    hits = int(np.count_nonzero(u + x <= l))
+    # Agresti-Coull: the plug-in se collapses to ~0 when all but a few samples agree
+    p_ac = (hits + 2) / (samples + 4)
+    se = math.sqrt(p_ac * (1.0 - p_ac) / (samples + 4))
+    return McEstimate(hits / samples, se, samples)
 
 
 def mc_p_ek(params: ModelParams, k: int, samples: int, seed: int, chunk: int = 100_000) -> McEstimate:

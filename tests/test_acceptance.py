@@ -6,14 +6,17 @@ parametrized cases so a localized disagreement shows up as a localized
 failure rather than hiding the points that do agree.
 """
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import poisson
 
+import rcumem
 from rcumem.core import ModelParams, RandomSource
 from rcumem.analytics import (
     avg_age,
@@ -195,8 +198,11 @@ class TestCliDeterminism:
     )
     def test_byte_identical_repeat(self, argv):
         cmd = [sys.executable, "-m", "rcumem.cli"] + argv
-        a = subprocess.run(cmd, capture_output=True)
-        b = subprocess.run(cmd, capture_output=True)
+        # the child imports the same rcumem as this test, installed or not
+        path = [str(Path(rcumem.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        a = subprocess.run(cmd, capture_output=True, env=env)
+        b = subprocess.run(cmd, capture_output=True, env=env)
         assert a.returncode == 0
         assert a.returncode == b.returncode
         assert a.stdout == b.stdout

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcumem.core import DomainError, ModelParams, SeriesControl
+from rcumem.core import ConvergenceError, DomainError, ModelParams, SeriesControl
 from rcumem.analytics import (
     a_w,
     avg_age,
@@ -180,6 +180,63 @@ class TestFootprint:
         vals = [en_exact(ModelParams(a, 5, 1), CTRL).en_exact for a in (0.1, 0.3, 1, 3, 10, 30, 100)]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
         assert vals[-1] <= 6.0
+
+
+# (alpha, lam, en_exact, en_bound_jensen, terms_used_k, truncation_bound) at mu = 1,
+# as computed term by term: one p_ek_series call and one Jensen term per k
+GOLDEN = [
+    (0.5, 1, 1.3027308604568435, 1.6871501299921998, 21, 9.559906635974793e-11),
+    (0.5, 5, 2.098827100312841, 2.7355997186831797, 23, 5.311059242208218e-11),
+    (0.5, 10, 2.6411348254924722, 3.299144128206386, 24, 3.540706161472145e-11),
+    (1, 1, 1.449883108025035, 1.7644997802902365, 34, 5.820766091346741e-11),
+    (1, 5, 2.6106272722516444, 3.1763070169978915, 36, 7.275957614183426e-11),
+    (1, 10, 3.411974861622082, 4.009640350331224, 37, 7.275957614183426e-11),
+    (2, 1, 1.6063895124282987, 1.8408488249422106, 57, 9.179060531410428e-11),
+    (2, 5, 3.2500550014361367, 3.739450686218807, 61, 9.065738796454742e-11),
+    (2, 10, 4.467008296670195, 5.00704661266969, 63, 8.058434485737547e-11),
+    (100, 1, 1.985300608817079, 1.9950576333971388, 2315, 9.908768754122009e-11),
+    (100, 5, 5.833516363954689, 5.879599123798011, 2476, 9.982711461229404e-11),
+    (100, 10, 10.447089005318018, 10.533208022651467, 2546, 9.949066859050368e-11),
+    (1000, 1, 1.9985030741396455, 1.9995005825259702, 23038, 9.993624596780499e-11),
+    (1000, 5, 5.9825898558323285, 5.98754771640994, 24648, 9.996047106798842e-11),
+    (1000, 10, 10.940513108445348, 10.950355511170978, 25342, 9.990989880876817e-11),
+    (3000, 1, 1.9995003410327854, 1.999833398021958, 69090, 9.996884590625614e-11),
+    (3000, 5, 5.9941766896595325, 5.995838649872291, 73919, 9.99727911489196e-11),
+    (3000, 10, 10.980057394108835, 10.983373042941741, 75998, 9.99990529410929e-11),
+]
+
+
+class TestArraySeries:
+    @pytest.mark.parametrize("alpha,lam,exact,jensen,terms,bound", GOLDEN)
+    def test_matches_term_by_term_loop(self, alpha, lam, exact, jensen, terms, bound):
+        rep = en_exact(ModelParams(alpha, lam, 1.0), CTRL)
+        assert rep.en_exact == pytest.approx(exact, rel=1e-12, abs=0)
+        assert rep.en_bound_jensen == pytest.approx(jensen, rel=1e-12, abs=0)
+        assert rep.terms_used_k == terms
+        assert rep.truncation_bound == bound
+
+    def test_p_ek_series_is_one_entry_of_the_sum(self):
+        p = ModelParams(2, 5, 1)
+        rep = en_exact(p, CTRL)
+        total = 1.0 + sum(1.0 - p_ek_series(p, k, CTRL) for k in range(1, rep.terms_used_k + 1))
+        assert rep.en_exact == pytest.approx(total, rel=1e-13)
+
+    @given(
+        alpha=st.floats(-6, 6).map(lambda e: 10.0**e),
+        lam=st.floats(-6, 6).map(lambda e: 10.0**e),
+        mu=st.floats(-6, 6).map(lambda e: 10.0**e),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_wide_range_finite_or_typed_error(self, alpha, lam, mu):
+        p = ModelParams(alpha, lam, mu)
+        try:
+            rep = en_exact(p, CTRL)
+        except (ConvergenceError, DomainError):
+            return
+        assert math.isfinite(rep.en_exact) and math.isfinite(rep.en_bound_jensen)
+        assert 1.0 <= rep.en_exact + 1e-9
+        assert rep.en_exact <= rep.en_bound_jensen + 1e-9
+        assert rep.en_bound_jensen <= rep.en_bound_simple + 1e-9
 
 
 class TestAvgAge:

@@ -68,12 +68,17 @@ class TestAnalytic:
         assert code == 2
         assert out == ""  # nothing written on error
 
-    @pytest.mark.parametrize("alpha,lam", [("10000", "10"), ("1", "1e300")])
-    def test_series_cap_exit_2(self, capsys, alpha, lam):
-        code, out, err = run(capsys, "analytic", "--alpha", alpha, "--lambda", lam)
+    @pytest.mark.parametrize(
+        "alpha,lam,mu",
+        [("10000", "10", "1"), ("1", "1e300", "1"), ("1e300", "1", "1e-10")],
+        ids=["10000-10", "1-1e300", "1e300-1-1e-10"],
+    )
+    def test_series_cap_exit_2(self, capsys, alpha, lam, mu):
+        code, out, err = run(capsys, "analytic", "--alpha", alpha, "--lambda", lam, "--mu", mu)
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_monotone_in_lambda(self, capsys):
         code, out, _ = run(capsys, "analytic", "--alpha", "2", "--lambda", "0:20:11", "--mu", "1")

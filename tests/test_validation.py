@@ -88,6 +88,14 @@ class TestMcLemma1:
         with pytest.raises(DomainError):
             mc_lemma1(ModelParams(1, 1, 1), 1, 1.0, 100, seed=1)
 
+    def test_std_error_near_certainty(self):
+        # 1 - p is 3.2e-5, so 2e5 samples expect 6.4 misses; this seed draws 1.
+        # The plug-in se sqrt(p(1-p)/n) shrinks with the misses and put it 5.4 se out.
+        p = ModelParams(0.5, 1.0, 2.0)
+        est = mc_lemma1(p, 5, 5.0, 200_000, seed=8)
+        assert round((1.0 - est.estimate) * est.samples) == 1
+        assert abs(est.estimate - lemma1_epsilon(p, 5, 5.0)) <= 5.0 * est.std_error
+
 
 class TestMcPEk:
     def test_no_readers_exact_one(self):
