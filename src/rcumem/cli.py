@@ -224,21 +224,23 @@ def cmd_validate(args) -> int:
         ok = ok and passed
         print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
 
-    # Lemma 1 Monte Carlo against the closed form
+    # Lemma 1 Monte Carlo against the closed form, one shared draw per k
     for k in (1, 2, 5):
-        for w in (0.1, 1.0, 5.0):
-            for alpha in (0.5, 1.0, 2.0):
-                for mu in (0.5, 1.0, 2.0):
-                    p = ModelParams(alpha, 1.0, mu)
-                    target = analytics.lemma1_epsilon(p, k, w)
-                    est = validation.mc_lemma1(p, k, w, samples, seed)
-                    dev = abs(est.estimate - target)
-                    passed = dev <= 3.5 * max(est.std_error, 1e-12)
-                    report(
-                        f"lemma1 k={k} w={w} alpha={alpha} mu={mu}",
-                        passed,
-                        f"mc={est.estimate:.6f} closed={target:.6f} dev={dev:.2e} se={est.std_error:.2e}",
-                    )
+        cells = [
+            (ModelParams(alpha, 1.0, mu), w)
+            for w in (0.1, 1.0, 5.0)
+            for alpha in (0.5, 1.0, 2.0)
+            for mu in (0.5, 1.0, 2.0)
+        ]
+        for (p, w), est in zip(cells, validation.lemma1_cells(k, cells, samples, seed)):
+            target = analytics.lemma1_epsilon(p, k, w)
+            dev = abs(est.estimate - target)
+            passed = dev <= 3.5 * max(est.std_error, 1e-12)
+            report(
+                f"lemma1 k={k} w={w} alpha={p.alpha} mu={p.mu}",
+                passed,
+                f"mc={est.estimate:.6f} closed={target:.6f} dev={dev:.2e} se={est.std_error:.2e}",
+            )
 
     # grace-period survival: Monte Carlo vs the series form
     for alpha, lam, mu, k in [(1.0, 1.0, 1.0, 1), (1.0, 10.0, 1.0, 1), (2.0, 5.0, 1.0, 2)]:

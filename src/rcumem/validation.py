@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammainc as gammainc_reg
+from scipy.special import gammainc as gammainc_reg, gammaincc
 
-from .core import DomainError, ModelParams, RandomSource, validate
+from .core import ConvergenceError, DomainError, ModelParams, RandomSource, validate
 from .analytics import lemma1_epsilon
 
 
@@ -59,26 +59,40 @@ def gamma_l_pdf(alpha: float, k: int, l: float) -> float:
     return math.exp(math.log(alpha) + (k - 1) * math.log(alpha * l) - alpha * l - math.lgamma(k))
 
 
-def mc_lemma1(params: ModelParams, k: int, w: float, samples: int, seed: int) -> McEstimate:
-    """Estimate P(U + X <= L) by direct sampling.
+def lemma1_cells(
+    k: int, cells: list[tuple[ModelParams, float]], samples: int, seed: int
+) -> list[McEstimate]:
+    """Estimate P(U + X <= L) at each (params, w) cell from one shared draw.
 
     U ~ uniform(-w, 0), X ~ exponential(mu), L ~ Gamma(k, alpha), all
-    independent. The target closed form is lemma1_epsilon(params, k, w).
+    independent. The unit-rate uniforms, exponentials and Gamma(k, 1)
+    variates are drawn once on the "lemma1" stream and scaled per cell;
+    dividing by a rate is exact, so each cell's hits equal a draw made at
+    that cell's own rates. The target closed form is lemma1_epsilon.
     """
     if samples < 10_000:
         raise DomainError(f"samples must be >= 1e4, got {samples}")
-    if k < 1 or w <= 0:
+    if k < 1 or any(w <= 0 for _, w in cells):
         raise DomainError("need k >= 1 and w > 0")
-    validate(params)
+    for params, _ in cells:
+        validate(params)
     rs = RandomSource(seed, "lemma1")
-    u = -w * rs.uniform(samples)
-    x = rs.exponential(params.mu, samples)
-    l = rs.gamma_int(k, params.alpha, samples)
-    hits = int(np.count_nonzero(u + x <= l))
-    # Agresti-Coull: the plug-in se collapses to ~0 when all but a few samples agree
-    p_ac = (hits + 2) / (samples + 4)
-    se = math.sqrt(p_ac * (1.0 - p_ac) / (samples + 4))
-    return McEstimate(hits / samples, se, samples)
+    unit_u = rs.uniform(samples)
+    unit_x = rs.exponential(1.0, samples)
+    unit_l = rs.gamma_int(k, 1.0, samples)
+    out = []
+    for params, w in cells:
+        hits = int(np.count_nonzero(-w * unit_u + unit_x / params.mu <= unit_l / params.alpha))
+        # Agresti-Coull: the plug-in se collapses to ~0 when all but a few samples agree
+        p_ac = (hits + 2) / (samples + 4)
+        se = math.sqrt(p_ac * (1.0 - p_ac) / (samples + 4))
+        out.append(McEstimate(hits / samples, se, samples))
+    return out
+
+
+def mc_lemma1(params: ModelParams, k: int, w: float, samples: int, seed: int) -> McEstimate:
+    """Estimate P(U + X <= L) by direct sampling: lemma1_cells at one cell."""
+    return lemma1_cells(k, [(params, w)], samples, seed)[0]
 
 
 def mc_p_ek(params: ModelParams, k: int, samples: int, seed: int, chunk: int = 100_000) -> McEstimate:
@@ -162,7 +176,7 @@ def en_joint_quadrature(params: ModelParams, tol: float = 1e-7, max_k: int = 200
     while True:
         k += 1
         if k > max_k:
-            raise DomainError("en_joint_quadrature: max_k reached; use a larger tol")
+            raise ConvergenceError("en_joint_quadrature: max_k reached; use a larger tol")
         total += 1.0 - p_ek_joint_quadrature(params, k)
         if dp.rho * dp.q**k < tol:
             return total
@@ -198,17 +212,15 @@ def i4_numeric(alpha: float, mu: float, k: int, w: float) -> float:
 
 
 def lemma1_numeric(alpha: float, mu: float, k: int, w: float) -> float:
-    """P(Y <= L) by nested quadrature over fy_density and gamma_l_pdf.
+    """P(Y <= L) as one integral of fy_density against the deadline's survival.
 
+    By Fubini, P(Y <= L) = int_{-w}^0 f_Y + int_0^inf f_Y(y) P(L > y) dy with
+    P(L > y) = Q(k, alpha y), the regularized upper incomplete gamma function.
     End-to-end recomputation of the appendix result 1 - a_w q^k.
     """
-    def inner(l: float) -> float:
-        # CDF of Y at l >= 0 via the (smooth) upper tail
-        tail = quad(lambda y: fy_density(mu, w, y), l, math.inf, epsabs=1e-12, limit=200)[0]
-        return 1.0 - tail
-
-    f = lambda l: gamma_l_pdf(alpha, k, l) * inner(l)
-    return quad(f, 0.0, math.inf, epsabs=1e-11, limit=200)[0]
+    neg = quad(lambda y: fy_density(mu, w, y), -w, 0.0, epsabs=1e-13, epsrel=1e-13)[0]
+    f = lambda y: fy_density(mu, w, y) * gammaincc(k, alpha * y)
+    return neg + quad(f, 0.0, math.inf, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
 
 
 def fy_normalization(mu: float, w: float) -> float:

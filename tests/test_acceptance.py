@@ -27,7 +27,7 @@ from rcumem.analytics import (
     p_ek_series,
 )
 from rcumem.simulator import SimConfig, simulate
-from rcumem.validation import appendix_identity_checks, mc_lemma1
+from rcumem.validation import appendix_identity_checks, lemma1_cells
 from rcumem.analytics import lemma1_epsilon
 
 GRID = [(a, l) for a in (0.5, 1.0, 2.0, 5.0, 10.0, 100.0) for l in (1.0, 5.0, 10.0)]
@@ -105,16 +105,27 @@ class TestSeriesQuadratureEquivalence:
             assert abs(s - q) <= 1e-8, f"k={k}: series={s!r} quad={q!r}"
 
 
+@pytest.fixture(scope="module")
+def lemma1_estimates():
+    """1e6-sample Lemma 1 estimates keyed by (alpha, mu, k, w), one shared draw per k."""
+    out = {}
+    for k in (1, 2, 5):
+        cells = [(ModelParams(a, 1.0, m), w) for a in (0.5, 1.0, 2.0) for m in (0.5, 1.0, 2.0) for w in (0.1, 1.0, 5.0)]
+        for (p, w), est in zip(cells, lemma1_cells(k, cells, 1_000_000, seed=505 + k)):
+            out[p.alpha, p.mu, k, w] = est
+    return out
+
+
 class TestLockOutlastProbability:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
-    def test_monte_carlo_brackets_closed_form(self, alpha, mu):
+    def test_monte_carlo_brackets_closed_form(self, alpha, mu, lemma1_estimates):
         # 3.5 standard errors, 1e6 samples per cell
         p = ModelParams(alpha, 1.0, mu)
         for k in (1, 2, 5):
             for w in (0.1, 1.0, 5.0):
                 target = lemma1_epsilon(p, k, w)
-                est = mc_lemma1(p, k, w, 1_000_000, seed=505 + k)
+                est = lemma1_estimates[alpha, mu, k, w]
                 assert abs(est.estimate - target) <= 3.5 * est.std_error, (
                     f"k={k} w={w}: mc={est.estimate:.6f} closed={target:.6f} "
                     f"se={est.std_error:.2e}"

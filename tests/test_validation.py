@@ -2,15 +2,18 @@ import math
 
 import pytest
 
-from rcumem.core import DomainError, ModelParams
+from rcumem.core import ConvergenceError, DomainError, ModelParams
 from rcumem.analytics import lemma1_epsilon, p_ek_series
 from rcumem.validation import (
     appendix_identity_checks,
+    en_joint_quadrature,
     fy_density,
     fy_normalization,
     gamma_l_pdf,
     i1_closed,
     i1_numeric,
+    lemma1_cells,
+    lemma1_numeric,
     mc_lemma1,
     mc_p_ek,
     p_ek_joint_quadrature,
@@ -97,6 +100,54 @@ class TestMcLemma1:
         assert abs(est.estimate - lemma1_epsilon(p, 5, 5.0)) <= 5.0 * est.std_error
 
 
+# hits of the 81 `rcumem validate` Lemma 1 cells (w, alpha, mu in that loop
+# order) at 20,000 samples and seed 1, each drawn separately by mc_lemma1
+# before the draws were shared
+LEMMA1_HITS = {
+    1: [10248, 13581, 16310, 6929, 10489, 13896, 4355, 7257, 10953,
+        12124, 15716, 18254, 9574, 13651, 17072, 7439, 11605, 15644,
+        16310, 18666, 19607, 15085, 18029, 19334, 14126, 17352, 19018],
+    2: [15162, 17880, 19239, 11341, 15291, 17987, 7472, 11537, 15516,
+        16082, 18570, 19634, 13070, 16819, 19015, 9963, 14426, 17805,
+        18126, 19532, 19909, 16717, 18955, 19763, 15334, 18216, 19474],
+    5: [19376, 19922, 19995, 17444, 19386, 19926, 13644, 17506, 19414,
+        19493, 19947, 19997, 17929, 19594, 19966, 14891, 18316, 19738,
+        19772, 19987, 20000, 19000, 19875, 19994, 17589, 19474, 19942],
+}
+VALIDATE_CELLS = [
+    (ModelParams(alpha, 1.0, mu), w)
+    for w in (0.1, 1.0, 5.0)
+    for alpha in (0.5, 1.0, 2.0)
+    for mu in (0.5, 1.0, 2.0)
+]
+
+
+class TestLemma1Cells:
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_shared_draw_reproduces_separate_draws(self, k):
+        ests = lemma1_cells(k, VALIDATE_CELLS, 20_000, seed=1)
+        assert [e.estimate for e in ests] == [h / 20_000 for h in LEMMA1_HITS[k]]
+
+    def test_mc_lemma1_is_one_cell(self):
+        p, w = ModelParams(2.0, 1.0, 0.5), 1.0
+        assert mc_lemma1(p, 2, w, 20_000, seed=1) == lemma1_cells(2, [(p, w)], 20_000, seed=1)[0]
+
+    @pytest.mark.parametrize(
+        "k,cells,samples",
+        [
+            (1, [(ModelParams(1, 1, 1), 1.0), (ModelParams(1, 1, 1), 0.0)], 20_000),
+            (1, [(ModelParams(1, 1, 1), 1.0), (ModelParams(1, 1, 1), -1.0)], 20_000),
+            (0, [(ModelParams(1, 1, 1), 1.0)], 20_000),
+            (1, [(ModelParams(1, 1, 1), 1.0)], 9_999),
+            (1, [(ModelParams(1, 1, 1), 1.0), (ModelParams(0, 1, 1), 1.0)], 20_000),
+            (1, [(ModelParams(1, 1, 1), 1.0), (ModelParams(1, 1, math.nan), 1.0)], 20_000),
+        ],
+    )
+    def test_invalid_cell(self, k, cells, samples):
+        with pytest.raises(DomainError):
+            lemma1_cells(k, cells, samples, seed=1)
+
+
 class TestMcPEk:
     def test_no_readers_exact_one(self):
         est = mc_p_ek(ModelParams(1, 0, 1), 1, 20_000, seed=1)
@@ -141,3 +192,23 @@ class TestAppendixIdentities:
     def test_full_grid(self):
         for name, numeric, closed, err in appendix_identity_checks():
             assert err <= 1e-6, f"{name}: numeric={numeric} closed={closed} err={err}"
+
+    def test_lemma1_numeric_matches_closed_to_1e13(self):
+        checks = [c for c in appendix_identity_checks() if c[0].startswith("Lemma1")]
+        assert len(checks) == 81
+        for name, numeric, closed, err in checks:
+            assert err <= 1e-13, f"{name}: numeric={numeric} closed={closed} err={err}"
+
+    @pytest.mark.parametrize(
+        "alpha,mu,k,w",
+        [(1.0, 1.0, 1, 1e-3), (0.5, 0.5, 20, 1e-3), (1.0, 1.0, 20, 1.0), (10.0, 1.0, 1, 1.0), (10.0, 2.0, 20, 1e-3)],
+    )
+    def test_lemma1_numeric_edge_points(self, alpha, mu, k, w):
+        closed = lemma1_epsilon(ModelParams(alpha, 1.0, mu), k, w)
+        assert abs(lemma1_numeric(alpha, mu, k, w) - closed) <= 1e-13
+
+
+class TestEnJointQuadrature:
+    def test_running_out_of_terms_is_convergence_error(self):
+        with pytest.raises(ConvergenceError):
+            en_joint_quadrature(ModelParams(1, 10, 1), max_k=1)
