@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import hyp1f1
 
 from .core import ConvergenceError, DomainError, ModelParams, SeriesControl, b_k, validate
 
@@ -60,61 +61,18 @@ def p_ek_given_w(params: ModelParams, k: int, w: float) -> float:
     return math.exp(b * math.expm1(-params.mu * w))
 
 
-def _complement_sums(b: np.ndarray, r: float, ctrl: SeriesControl) -> np.ndarray:
-    """sum_j pois(j; b_k) * j/(r + j) for each entry of a non-increasing array b.
-
-    Each summand is bounded by the Poisson pmf, so an entry's sum stops once
-    its remaining Poisson tail mass drops below ctrl.tol; that tail mass is a
-    rigorous bound on the discarded error. Poisson weights are accumulated in
-    log space to survive large b. A smaller b has a lighter tail, so the
-    entries still running are a prefix of the array, and each step over j
-    touches only that prefix.
-    """
-    if b[0] > ctrl.max_j:
-        # the Poisson(b_k) median is above max_j, so the tail can never get below tol
-        raise ConvergenceError(f"p_ek_series: max_j={ctrl.max_j} reached at b_k={b[0]}")
-    comp = np.zeros_like(b)  # j = 0 terms are zero
-    logp = -b  # log Poisson pmf at j = 0
-    cdf = np.exp(logp)
-    live = 1.0 - cdf >= ctrl.tol
-    n = _prefix_len(live, b.size)
-    logb = np.log(b[:n])
-    p = np.empty(n)
-    j = 0
-    while n:
-        # views of the running prefix, taken again only when its last entry meets tol
-        lb, lp, cd, cm, lv, pn = logb[:n], logp[:n], cdf[:n], comp[:n], live[:n], p[:n]
-        while lv[-1]:
-            j += 1
-            if j > ctrl.max_j:
-                raise ConvergenceError(f"p_ek_series: max_j={ctrl.max_j} reached at b_k={b[n - 1]}")
-            np.subtract(lb, math.log(j), pn)
-            lp += pn
-            np.exp(lp, pn)
-            pn *= lv  # entries inside the prefix that already met tol stay as they are
-            cd += pn
-            pn *= j / (r + j)
-            cm += pn
-            np.subtract(1.0, cd, pn)
-            np.greater_equal(pn, ctrl.tol, lv)
-        n = _prefix_len(live, n)
-    return comp
-
-
-def _prefix_len(live: np.ndarray, n: int) -> int:
-    # one past the last true entry among the first n
-    last = n - 1 - int(np.argmax(live[n - 1::-1]))
-    return last + 1 if live[last] else 0
-
-
 def p_ek_series(params: ModelParams, k: int, ctrl: SeriesControl = SeriesControl()) -> float:
-    """P(E_k) by the Poisson-weighted series.
+    """P(E_k) by the Poisson-weighted series sum_j pois(j; b_k) * r/(r + j), r = alpha/mu.
 
-    Returns one minus the complement sum_j pois(j; b_k) * j/(alpha/mu + j),
-    truncated once the remaining Poisson tail mass drops below ctrl.tol.
+    By Kummer's transformation (DLMF 13.2.39) the series is M(1, r + 1, -b_k),
+    evaluated with scipy's hyp1f1; ctrl is accepted for symmetry with the
+    other series functions. ConvergenceError where hyp1f1 is not finite.
     """
     b = b_k(params, k)
-    return 1.0 - float(_complement_sums(np.array([b]), params.alpha / params.mu, ctrl)[0])
+    p = float(hyp1f1(1.0, 1.0 + params.alpha / params.mu, -b))
+    if not math.isfinite(p):
+        raise ConvergenceError(f"p_ek_series: hyp1f1 not finite at b_k={b}")
+    return p
 
 
 @functools.lru_cache(maxsize=32)
@@ -209,38 +167,55 @@ def _terms_needed(rho: float, q: float, ctrl: SeriesControl, name: str) -> int:
     return k
 
 
-# terms per array pass over k: memory stays flat in K, and a pass fits in cache
-_CHUNK = 8192
+# power-series terms kept in the k-tail: each is at most half the one before
+_TAIL_TERMS = 64
 
 
-def _powers(q: float, k_total: int):
-    """q^k for k = 1..k_total, as fresh arrays of up to _CHUNK terms each."""
-    for start in range(0, k_total, _CHUNK):
-        qk = np.arange(start + 1.0, min(k_total, start + _CHUNK) + 1.0)
-        yield np.power(q, qk, out=qk)
+def _sum_over_k(f, den: np.ndarray, rho: float, q: float, k_total: int) -> float:
+    """sum_{k=1}^{k_total} f(rho q^k), where f(b) = -sum_{n>=1} prod_{i<=n} (-b/den[i-1]).
+
+    Terms with b above den[0]/2 are evaluated directly with f, as one array.
+    In the rest the series ratio stays at or below 1/2, so the two sums are
+    swapped: sum_{i<m} q^{n i} = expm1(n m ln q)/expm1(n ln q) leaves one
+    power series in the first tail b, and the cost does not depend on k_total.
+    """
+    if q == 0.0 or rho == 0.0:
+        return 0.0  # every b_k rounds to 0, where f vanishes
+    lnq = math.log(q)
+    # b_k is above the cut for k < x
+    x = (math.log(den[0]) - math.log(2.0) - math.log(rho)) / lnq
+    head = max(0, min(k_total, math.ceil(x) - 1))
+    total = float(f(rho * np.power(q, np.arange(1.0, head + 1.0))).sum())
+    m = k_total - head
+    if m:
+        n = np.arange(1.0, _TAIL_TERMS + 1.0)
+        terms = np.cumprod(-rho * q ** (head + 1) / den)
+        total -= float(np.dot(terms, np.expm1(n * m * lnq) / np.expm1(n * lnq)))
+    return total
 
 
 def en_bound_jensen(params: ModelParams, ctrl: SeriesControl = SeriesControl()) -> float:
-    """Jensen upper bound 1 + sum_k q^k / (q^k + alpha/lam), over the same K terms as en_exact."""
+    """Jensen upper bound 1 + sum_k q^k / (q^k + alpha/lam), over the same K terms as en_exact.
+
+    Each term is b_k/(b_k + r) with r = alpha/mu, whose power series in b_k has
+    coefficients r^{-n}.
+    """
     dp = validate(params)
     if params.lam == 0.0:
         return 1.0
-    ratio = params.alpha / params.lam
-    total = 1.0
-    for qk in _powers(dp.q, _terms_needed(dp.rho, dp.q, ctrl, "en_bound_jensen")):
-        den = qk + ratio
-        np.divide(qk, den, out=den)
-        total += float(den.sum())
-    return total
+    r = params.alpha / params.mu
+    k = _terms_needed(dp.rho, dp.q, ctrl, "en_bound_jensen")
+    return 1.0 + _sum_over_k(lambda b: b / (b + r), np.full(_TAIL_TERMS, r), dp.rho, dp.q, k)
 
 
 def en_exact(params: ModelParams, ctrl: SeriesControl = SeriesControl()) -> FootprintReport:
     """Exact expected number of active updates, with bounds and truncation certificate.
 
-    Sums 1 + sum_k (1 - P(E_k)) over k = 1..K as array passes; each term
-    is at most (lam/alpha) q^k, so the tail after K terms is at most
-    (lam/mu) q^K. K is the first k that drives this below ctrl.tol, and the
-    bound is reported as truncation_bound.
+    Sums 1 + sum_k (1 - P(E_k)) over k = 1..K, where 1 - M(1, r + 1, -b) has
+    power-series coefficients 1/(r + 1)_n; each term is at most
+    (lam/alpha) q^k, so the tail after K terms is at most (lam/mu) q^K. K is
+    the first k that drives this below ctrl.tol, and the bound is reported
+    as truncation_bound.
     """
     dp = validate(params)
     jensen = en_bound_jensen(params, ctrl)
@@ -249,11 +224,10 @@ def en_exact(params: ModelParams, ctrl: SeriesControl = SeriesControl()) -> Foot
         return FootprintReport(1.0, jensen, simple, 0, 0.0)
     k = _terms_needed(dp.rho, dp.q, ctrl, "en_exact")
     r = params.alpha / params.mu
-    total = 1.0
-    for b in _powers(dp.q, k):
-        b *= params.lam
-        b /= params.mu  # b_k = lam q^k / mu
-        total += float(_complement_sums(b, r, ctrl).sum())
+    den = r + np.arange(1.0, _TAIL_TERMS + 1.0)
+    total = 1.0 + _sum_over_k(lambda b: 1.0 - hyp1f1(1.0, 1.0 + r, -b), den, dp.rho, dp.q, k)
+    if not math.isfinite(total):
+        raise ConvergenceError("en_exact: hyp1f1 not finite")
     return FootprintReport(total, jensen, simple, k, _geometric_tail(dp.rho, dp.q, k))
 
 

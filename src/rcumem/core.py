@@ -48,7 +48,8 @@ class SeriesControl:
 
     tol: absolute tail-mass tolerance for truncated series.
     max_k: cap on the outer (update index) sum.
-    max_j: cap on the inner (reader count) sum.
+    max_j: accepted and validated for compatibility; the reader-count sum is
+        now in closed form, so it no longer bounds anything.
     quad_points: starting Gauss-Legendre node count.
     """
 

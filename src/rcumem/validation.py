@@ -29,8 +29,8 @@ class McEstimate:
 def fy_density(mu: float, w: float, y: float) -> float:
     """Density of Y = U + X with U uniform(-w, 0) and X exponential(mu).
 
-    Piecewise: (1 - e^{-mu(w+y)})/w on [-w, 0], (e^{-mu y} - e^{-mu(w+y)})/w
-    for y >= 0, zero below -w.
+    Piecewise: (1 - e^{-mu(w+y)})/w on [-w, 0], e^{-mu y} (1 - e^{-mu w})/w
+    for y >= 0, zero below -w; expm1 keeps both exact when mu w is small.
     """
     if w <= 0:
         raise DomainError(f"w must be > 0, got {w}")
@@ -39,8 +39,8 @@ def fy_density(mu: float, w: float, y: float) -> float:
     if y < -w:
         return 0.0
     if y <= 0:
-        return (1.0 - math.exp(-mu * (w + y))) / w
-    return (math.exp(-mu * y) - math.exp(-mu * (w + y))) / w
+        return -math.expm1(-mu * (w + y)) / w
+    return math.exp(-mu * y) * -math.expm1(-mu * w) / w
 
 
 def gamma_l_pdf(alpha: float, k: int, l: float) -> float:

@@ -197,6 +197,12 @@ class TestFigureShapes:
             assert simple * (1.0 - 5e-3) <= en_fast < simple
 
 
+def _child_env():
+    # a child interpreter imports the same rcumem as this test, installed or not
+    path = [str(Path(rcumem.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 class TestCliDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -209,11 +215,18 @@ class TestCliDeterminism:
     )
     def test_byte_identical_repeat(self, argv):
         cmd = [sys.executable, "-m", "rcumem.cli"] + argv
-        # the child imports the same rcumem as this test, installed or not
-        path = [str(Path(rcumem.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        env = _child_env()
         a = subprocess.run(cmd, capture_output=True, env=env)
         b = subprocess.run(cmd, capture_output=True, env=env)
         assert a.returncode == 0
         assert a.returncode == b.returncode
         assert a.stdout == b.stdout
+
+
+class TestCliImport:
+    def test_no_quadrature_or_mpmath_at_startup(self):
+        # every subcommand pays for what importing rcumem.cli pulls in
+        code = "import sys, rcumem.cli; print(*[m for m in ('scipy.integrate', 'mpmath') if m in sys.modules])"
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == ""

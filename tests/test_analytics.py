@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,6 +106,12 @@ class TestPEkSeries:
         assert 0 < s < 1
         assert s == pytest.approx(q, abs=1e-8)
 
+    def test_non_finite_hyp1f1_is_convergence_error(self):
+        # scipy's hyp1f1(1, 1 + r, -b) returns NaN at this b_1
+        r, b = 16.748706233275186, 2896938455708.6064
+        with pytest.raises(ConvergenceError):
+            p_ek_series(ModelParams(r, b / (r / (r + 1.0)), 1.0), 1, CTRL)
+
     def test_large_k_tends_to_one(self):
         p = ModelParams(1, 1, 1)
         v = p_ek_series(p, 40, CTRL)
@@ -182,8 +189,10 @@ class TestFootprint:
         assert vals[-1] <= 6.0
 
 
-# (alpha, lam, en_exact, en_bound_jensen, terms_used_k, truncation_bound) at mu = 1,
-# as computed term by term: one p_ek_series call and one Jensen term per k
+# (alpha, lam, loop_exact, en_bound_jensen, terms_used_k, truncation_bound) at mu = 1,
+# as computed term by term: one p_ek_series call and one Jensen term per k.
+# loop_exact came from a per-reader-count loop that dropped up to tol of
+# Poisson tail in each of the K terms, so it is only good to K * tol.
 GOLDEN = [
     (0.5, 1, 1.3027308604568435, 1.6871501299921998, 21, 9.559906635974793e-11),
     (0.5, 5, 2.098827100312841, 2.7355997186831797, 23, 5.311059242208218e-11),
@@ -206,14 +215,74 @@ GOLDEN = [
 ]
 
 
+# en_exact at the GOLDEN points: the K-term Poisson series itself,
+# 1 + sum_{k<=K} sum_j pois(j; b_k) j/(r + j) with exact q = alpha/(alpha + mu),
+# summed by _mp_series below at 30 digits and rounded to doubles
+MP_REFERENCE = {
+    (0.5, 1): 1.3027308606035901,
+    (0.5, 5): 2.09882710071519,
+    (0.5, 10): 2.6411348257549556,
+    (1, 1): 1.4498831082687107,
+    (1, 5): 2.6106272726445487,
+    (1, 10): 3.411974862044366,
+    (2, 1): 1.606389512842256,
+    (2, 5): 3.2500550020348467,
+    (2, 10): 4.467008297251493,
+    (100, 1): 1.9853006099015125,
+    (100, 5): 5.833516366119196,
+    (100, 10): 10.44708900835085,
+    (1000, 1): 1.998503075299397,
+    (1000, 5): 5.982589858232504,
+    (1000, 10): 10.940513111942817,
+    (3000, 1): 1.9995003421982038,
+    (3000, 5): 5.994176692086518,
+    (3000, 10): 10.980057397647379,
+}
+
+
+def _mp_series(alpha, lam, mu, terms, dps=30):
+    """1 + sum_{k<=terms} sum_j pois(j; b_k) j/(r + j) in mpmath, each j-sum to dps digits."""
+    with mpmath.workdps(dps + 10):
+        a, l, m = mpmath.mpf(alpha), mpmath.mpf(lam), mpmath.mpf(mu)
+        q, r = a / (a + m), a / m
+        eps = mpmath.mpf(10) ** -(dps + 5)
+        total, b = mpmath.mpf(1), l / m
+        for _ in range(terms):
+            b *= q
+            pmf, s, j = mpmath.exp(-b), mpmath.mpf(0), 0
+            while True:
+                j += 1
+                pmf *= b / j
+                s += pmf * j / (r + j)
+                if pmf < eps * s:
+                    break
+            total += s
+        return float(total)
+
+
 class TestArraySeries:
-    @pytest.mark.parametrize("alpha,lam,exact,jensen,terms,bound", GOLDEN)
-    def test_matches_term_by_term_loop(self, alpha, lam, exact, jensen, terms, bound):
+    @pytest.mark.parametrize("alpha,lam,loop_exact,jensen,terms,bound", GOLDEN)
+    def test_matches_term_by_term_loop(self, alpha, lam, loop_exact, jensen, terms, bound):
         rep = en_exact(ModelParams(alpha, lam, 1.0), CTRL)
-        assert rep.en_exact == pytest.approx(exact, rel=1e-12, abs=0)
+        assert rep.en_exact == pytest.approx(MP_REFERENCE[alpha, lam], rel=1e-12, abs=0)
+        assert abs(rep.en_exact - loop_exact) <= terms * CTRL.tol
         assert rep.en_bound_jensen == pytest.approx(jensen, rel=1e-12, abs=0)
         assert rep.terms_used_k == terms
         assert rep.truncation_bound == bound
+
+    @pytest.mark.parametrize("alpha,lam", [(g[0], g[1]) for g in GOLDEN if g[0] <= 2])
+    def test_matches_mpmath_poisson_series(self, alpha, lam):
+        rep = en_exact(ModelParams(alpha, lam, 1.0), CTRL)
+        ref = _mp_series(alpha, lam, 1.0, rep.terms_used_k)
+        assert ref == MP_REFERENCE[alpha, lam]
+        assert rep.en_exact == pytest.approx(ref, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("alpha,lam", [(g[0], g[1]) for g in GOLDEN])
+    def test_truncation_bound_covers_the_error(self, alpha, lam):
+        p = ModelParams(alpha, lam, 1.0)
+        rep = en_exact(p, CTRL)
+        fine = en_exact(p, SeriesControl(tol=1e-13))
+        assert abs(rep.en_exact - fine.en_exact) <= rep.truncation_bound + 1e-12
 
     def test_p_ek_series_is_one_entry_of_the_sum(self):
         p = ModelParams(2, 5, 1)

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from rcumem.analytics import en_exact
 from rcumem.cli import CSV_HEADER, main, parse_grid, point_seed
+from rcumem.core import ModelParams
 
 
 def run(capsys, *argv):
@@ -70,8 +72,8 @@ class TestAnalytic:
 
     @pytest.mark.parametrize(
         "alpha,lam,mu",
-        [("10000", "10", "1"), ("1", "1e300", "1"), ("1e300", "1", "1e-10")],
-        ids=["10000-10", "1-1e300", "1e300-1-1e-10"],
+        [("10000", "10", "1"), ("1e300", "1", "1e-10")],
+        ids=["10000-10", "1e300-1-1e-10"],
     )
     def test_series_cap_exit_2(self, capsys, alpha, lam, mu):
         code, out, err = run(capsys, "analytic", "--alpha", alpha, "--lambda", lam, "--mu", mu)
@@ -79,6 +81,16 @@ class TestAnalytic:
         assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    def test_huge_read_load_matches_closed_form(self, capsys):
+        # at alpha = mu the k-th term is 1 - M(1, 2, -b_k) = 1 - (1 - e^{-b_k})/b_k
+        code, out, err = run(capsys, "analytic", "--alpha", "1", "--lambda", "1e300", "--mu", "1")
+        assert code == 0
+        assert err == ""
+        terms = en_exact(ModelParams(1, 1e300, 1)).terms_used_k
+        b = [1e300 * 0.5**k for k in range(1, terms + 1)]
+        closed = 1.0 + math.fsum(1.0 + math.expm1(-x) / x for x in b)
+        assert float(out.splitlines()[1].split(",")[3]) == pytest.approx(closed, rel=1e-12)
 
     def test_monotone_in_lambda(self, capsys):
         code, out, _ = run(capsys, "analytic", "--alpha", "2", "--lambda", "0:20:11", "--mu", "1")

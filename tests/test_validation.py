@@ -208,6 +208,15 @@ class TestAppendixIdentities:
         assert abs(lemma1_numeric(alpha, mu, k, w) - closed) <= 1e-13
 
 
+    @pytest.mark.parametrize(
+        "alpha,mu,k", [(1.0, 1.0, 1), (10.0, 2.0, 20), (0.5, 0.5, 20), (10.0, 0.5, 5)]
+    )
+    def test_lemma1_numeric_small_window(self, alpha, mu, k):
+        # f_Y cancelled at mu w = 1e-3, which cost the integral ~1e-14
+        closed = lemma1_epsilon(ModelParams(alpha, 1.0, mu), k, 1e-3)
+        assert abs(lemma1_numeric(alpha, mu, k, 1e-3) - closed) <= 1e-15
+
+
 class TestEnJointQuadrature:
     def test_running_out_of_terms_is_convergence_error(self):
         with pytest.raises(ConvergenceError):
