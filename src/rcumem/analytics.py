@@ -61,15 +61,44 @@ def p_ek_given_w(params: ModelParams, k: int, w: float) -> float:
     return math.exp(b * math.expm1(-params.mu * w))
 
 
+# large-b expansion terms: for b >= 100 (r + 1)^2 each term is at most s/(100 (r + 1))
+# times the one before, so the first one omitted is below 13!/100^13 < 1e-16
+_LARGE_B_TERMS = 13
+
+
+def _kummer_m(r: float, b):
+    """M(1, r + 1, -b) for b >= 0 (scalar or array); NaN where it cannot be computed.
+
+    scipy's hyp1f1 is off by up to ~60 ulp at small b once r >~ 10, and NaN
+    there below b ~ 1e-238 and at isolated points with r ~ 10-55 and b above
+    ~5e10. Below b = 1e-8 the value is 1 - b/(r + 1), whose first omitted
+    term is below 1e-16. Where hyp1f1 is NaN and b >= 100 (r + 1)^2 it is the
+    large-b expansion (r/b) sum_s (1 - r)_s b^{-s} (DLMF 13.7.2). Any other
+    NaN stays.
+    """
+    b = np.asarray(b, dtype=float)
+    m = np.where(b < 1e-8, 1.0 - b / (1.0 + r), hyp1f1(1.0, 1.0 + r, -b))
+    bad = ~np.isfinite(m) & (b >= 100.0 * (r + 1.0) ** 2)
+    if bad.any():
+        x = b[bad]
+        term = total = np.ones_like(x)
+        for s in range(1, _LARGE_B_TERMS):
+            term = term * (s - r) / x
+            total = total + term
+        m[bad] = r / x * total
+    return m
+
+
 def p_ek_series(params: ModelParams, k: int, ctrl: SeriesControl = SeriesControl()) -> float:
     """P(E_k) by the Poisson-weighted series sum_j pois(j; b_k) * r/(r + j), r = alpha/mu.
 
     By Kummer's transformation (DLMF 13.2.39) the series is M(1, r + 1, -b_k),
-    evaluated with scipy's hyp1f1; ctrl is accepted for symmetry with the
-    other series functions. ConvergenceError where hyp1f1 is not finite.
+    evaluated with scipy's hyp1f1 (see _kummer_m); ctrl is accepted for
+    symmetry with the other series functions. ConvergenceError where that is
+    not finite.
     """
     b = b_k(params, k)
-    p = float(hyp1f1(1.0, 1.0 + params.alpha / params.mu, -b))
+    p = float(_kummer_m(params.alpha / params.mu, b))
     if not math.isfinite(p):
         raise ConvergenceError(f"p_ek_series: hyp1f1 not finite at b_k={b}")
     return p
@@ -174,13 +203,16 @@ _TAIL_TERMS = 64
 def _sum_over_k(f, den: np.ndarray, rho: float, q: float, k_total: int) -> float:
     """sum_{k=1}^{k_total} f(rho q^k), where f(b) = -sum_{n>=1} prod_{i<=n} (-b/den[i-1]).
 
-    Terms with b above den[0]/2 are evaluated directly with f, as one array.
-    In the rest the series ratio stays at or below 1/2, so the two sums are
-    swapped: sum_{i<m} q^{n i} = expm1(n m ln q)/expm1(n ln q) leaves one
-    power series in the first tail b, and the cost does not depend on k_total.
+    Up to _TAIL_TERMS terms are evaluated directly with f, as one array;
+    beyond that, so are the terms with b above den[0]/2. In the rest the
+    series ratio stays at or below 1/2, so the two sums are swapped:
+    sum_{i<m} q^{n i} = expm1(n m ln q)/expm1(n ln q) leaves one power series
+    in the first tail b, and the cost does not depend on k_total.
     """
     if q == 0.0 or rho == 0.0:
         return 0.0  # every b_k rounds to 0, where f vanishes
+    if k_total <= _TAIL_TERMS:
+        return float(f(rho * np.power(q, np.arange(1.0, k_total + 1.0))).sum())
     lnq = math.log(q)
     # b_k is above the cut for k < x
     x = (math.log(den[0]) - math.log(2.0) - math.log(rho)) / lnq
@@ -194,6 +226,10 @@ def _sum_over_k(f, den: np.ndarray, rho: float, q: float, k_total: int) -> float
     return total
 
 
+def _jensen(r: float, rho: float, q: float, k_total: int) -> float:
+    return 1.0 + _sum_over_k(lambda b: b / (b + r), np.full(_TAIL_TERMS, r), rho, q, k_total)
+
+
 def en_bound_jensen(params: ModelParams, ctrl: SeriesControl = SeriesControl()) -> float:
     """Jensen upper bound 1 + sum_k q^k / (q^k + alpha/lam), over the same K terms as en_exact.
 
@@ -203,9 +239,8 @@ def en_bound_jensen(params: ModelParams, ctrl: SeriesControl = SeriesControl()) 
     dp = validate(params)
     if params.lam == 0.0:
         return 1.0
-    r = params.alpha / params.mu
     k = _terms_needed(dp.rho, dp.q, ctrl, "en_bound_jensen")
-    return 1.0 + _sum_over_k(lambda b: b / (b + r), np.full(_TAIL_TERMS, r), dp.rho, dp.q, k)
+    return _jensen(params.alpha / params.mu, dp.rho, dp.q, k)
 
 
 def en_exact(params: ModelParams, ctrl: SeriesControl = SeriesControl()) -> FootprintReport:
@@ -215,20 +250,19 @@ def en_exact(params: ModelParams, ctrl: SeriesControl = SeriesControl()) -> Foot
     power-series coefficients 1/(r + 1)_n; each term is at most
     (lam/alpha) q^k, so the tail after K terms is at most (lam/mu) q^K. K is
     the first k that drives this below ctrl.tol, and the bound is reported
-    as truncation_bound.
+    as truncation_bound. The Jensen bound is summed over the same K terms.
     """
     dp = validate(params)
-    jensen = en_bound_jensen(params, ctrl)
-    simple = en_bound_simple(params)
+    simple = 1.0 + dp.rho
     if params.lam == 0.0:
-        return FootprintReport(1.0, jensen, simple, 0, 0.0)
+        return FootprintReport(1.0, 1.0, simple, 0, 0.0)
     k = _terms_needed(dp.rho, dp.q, ctrl, "en_exact")
     r = params.alpha / params.mu
     den = r + np.arange(1.0, _TAIL_TERMS + 1.0)
-    total = 1.0 + _sum_over_k(lambda b: 1.0 - hyp1f1(1.0, 1.0 + r, -b), den, dp.rho, dp.q, k)
+    total = 1.0 + _sum_over_k(lambda b: 1.0 - _kummer_m(r, b), den, dp.rho, dp.q, k)
     if not math.isfinite(total):
         raise ConvergenceError("en_exact: hyp1f1 not finite")
-    return FootprintReport(total, jensen, simple, k, _geometric_tail(dp.rho, dp.q, k))
+    return FootprintReport(total, _jensen(r, dp.rho, dp.q, k), simple, k, _geometric_tail(dp.rho, dp.q, k))
 
 
 def avg_age(params: ModelParams) -> float:

@@ -6,11 +6,16 @@ exponential(mu) time. A replaced copy with no outstanding locks is
 reclaimed immediately; otherwise it stays active until its last lock is
 released. So copy i occupies memory on [P_i, G_i), where P_i is its publish
 time and G_i = max(P_{i+1}, the last completion among its readers), and
-N(t) is the number of those intervals that cover t. Every statistic is an
-integral over these intervals, the readers' [arrival, completion)
-intervals and the sawtooth age, clipped to [warmup, horizon]. Publications
-are handled in slabs of about 16k events, carrying only the intervals still
-open from one slab to the next, so memory does not grow with the horizon.
+N(t) is the number of those intervals that cover t. The [P_i, P_{i+1})
+parts tile the time axis, so N(t) = 1 + #{i : P_{i+1} <= t < G_i}: the
+current copy plus the stale copies whose readers still hold locks, and only
+copies with a late reader have a non-empty extension [P_{i+1}, G_i). Every
+statistic is an integral over these extensions, the readers' [arrival,
+completion) intervals and the sawtooth age, clipped to [warmup, horizon].
+The footprint area needs no sort; only the optional histogram merges the
+extensions' starts and sorted stops. Publications are handled in slabs of
+about 16k events, carrying only the intervals still open from one slab to
+the next, so memory does not grow with the horizon.
 """
 from __future__ import annotations
 
@@ -133,8 +138,8 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
     last_arr = 0.0
     pubs = 0
     reads_served = 0
-    area_n = area_age = area_reads = 0.0
-    snap_n: list[float] = []
+    area_stale = area_age = area_reads = 0.0  # area_stale integrates N(t) - 1
+    snap_stale: list[float] = []
     snap_age: list[float] = []
     snap_t: list[float] = []
     rec_left = config.record_updates
@@ -170,19 +175,23 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
         r_end = np.concatenate((open_reads, c_t))
         lo = max(start, warmup)
         if end > lo:
-            # N(t): a sorted +1/-1 sweep over the copies' intervals
-            g_start = np.maximum(np.concatenate((np.full(len(open_grace), start), pub[:-1])), lo)
-            g_stop = np.minimum(g_end, end)
-            keep = g_stop > g_start
-            times = np.concatenate((g_start[keep], g_stop[keep]))
-            steps = np.repeat(np.array([1, -1], dtype=np.int64), int(keep.sum()))
-            order = np.argsort(times, kind="stable")
-            times = times[order]
-            level = np.cumsum(steps[order])
-            dur = np.diff(times)
-            cum_n = np.concatenate(([0.0], np.cumsum(level[:-1] * dur)))
+            # N(t) - 1 counts the extensions: copy first+k's on [pub[k+1], grace[k]),
+            # and a copy carried from an earlier slab's on [start, its grace end)
+            ext = grace > pub[1:]
+            xs = np.maximum(np.concatenate((np.full(len(open_grace), start), pub[1:][ext])), lo)
+            xe = np.minimum(np.concatenate((open_grace, grace[ext])), end)
+            held = xe > xs
+            xs, xe = xs[held], xe[held]
             if want_hist:
-                hist += np.bincount(np.minimum(level[:-1], hist_cap), weights=dur, minlength=hist_cap + 1)
+                # xs is in publish order, so the stable sort merges two sorted runs;
+                # at equal times a start comes before a stop
+                times = np.concatenate((xs, np.sort(xe)))
+                order = np.argsort(times, kind="stable")
+                level = np.cumsum(np.where(order < len(xs), 1, -1)) + 1
+                dur = np.diff(np.concatenate(([lo], times[order], [end])))
+                hist += np.bincount(
+                    np.minimum(np.concatenate(([1], level)), hist_cap), weights=dur, minlength=hist_cap + 1
+                )
 
             # sawtooth age: while copy first+k is current, its age runs from pub[k-1]
             w0 = np.maximum(pub[:-1], lo)
@@ -198,11 +207,10 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
             # batch boundaries are publication times, so both areas are exact there
             j = k0 - 1 - pubs + boundaries[(boundaries > pubs) & (boundaries <= pubs + n_new)]
             tau = pub[j]
-            i = np.searchsorted(times, tau, side="right") - 1
-            snap_n.extend((area_n + cum_n[i] + level[i] * (tau - times[i])).tolist())
+            snap_stale.extend(area_stale + float(np.maximum(np.minimum(xe, t) - xs, 0.0).sum()) for t in tau.tolist())
             snap_age.extend((area_age + cum_age[j - 1]).tolist())
             snap_t.extend(tau.tolist())
-            area_n += float(cum_n[-1])
+            area_stale += float((xe - xs).sum())
             area_age += float(cum_age[-1])
 
         if rec_left > 0:
@@ -220,11 +228,11 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
         origin, start = float(pub[-2]), float(end)
 
     total_t = start - warmup
-    starts_n = np.concatenate(([0.0], snap_n[:-1]))
+    starts_stale = np.concatenate(([0.0], snap_stale[:-1]))
     starts_age = np.concatenate(([0.0], snap_age[:-1]))
     starts_t = np.concatenate(([warmup], snap_t[:-1]))
     durs = np.asarray(snap_t) - starts_t
-    ci_n = _batch_ci(np.asarray(snap_n) - starts_n, durs)
+    ci_n = _batch_ci(np.asarray(snap_stale) - starts_stale, durs)
     ci_age = _batch_ci(np.asarray(snap_age) - starts_age, durs)
 
     histogram = None
@@ -241,7 +249,7 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
         records.append(UpdateRecord(first, start, None, 0, None))
 
     return SimStats(
-        mean_active_updates=area_n / total_t,
+        mean_active_updates=1.0 + area_stale / total_t,
         mean_age=area_age / total_t,
         ci_half_width_n=ci_n,
         ci_half_width_age=ci_age,

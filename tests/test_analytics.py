@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcumem import analytics
 from rcumem.core import ConvergenceError, DomainError, ModelParams, SeriesControl
 from rcumem.analytics import (
     a_w,
@@ -106,11 +107,26 @@ class TestPEkSeries:
         assert 0 < s < 1
         assert s == pytest.approx(q, abs=1e-8)
 
-    def test_non_finite_hyp1f1_is_convergence_error(self):
-        # scipy's hyp1f1(1, 1 + r, -b) returns NaN at this b_1
-        r, b = 16.748706233275186, 2896938455708.6064
+    @pytest.mark.parametrize(
+        "r,b", [(16.748706233275186, 2896938455708.6064), (44.0, 8.1e10), (10.0, 1e-300), (44.0, 1e-100)]
+    )
+    def test_where_hyp1f1_fails_matches_mpmath(self, r, b):
+        # scipy's hyp1f1(1, 1 + r, -b) returns NaN at the first three b_1 and is
+        # 30 ulp off at the fourth
+        p = p_ek_series(ModelParams(r, b / (r / (r + 1.0)), 1.0), 1, CTRL)
+        with mpmath.workdps(40):
+            want = mpmath.hyp1f1(1, 1 + mpmath.mpf(r), -mpmath.mpf(b))
+        assert p == pytest.approx(float(want), rel=1e-15, abs=0.0)
+
+    def test_other_non_finite_hyp1f1_is_convergence_error(self, monkeypatch):
+        # the large-b expansion is used only for b >= 100 (r + 1)^2
+        monkeypatch.setattr(analytics, "hyp1f1", lambda a, c, z: math.nan * z)
+        # at r = 1, M(1, 2, -b) = (1 - e^-b)/b
+        assert p_ek_series(ModelParams(1, 1e6, 1), 1, CTRL) == pytest.approx(1 / 5e5, rel=1e-15, abs=0.0)
         with pytest.raises(ConvergenceError):
-            p_ek_series(ModelParams(r, b / (r / (r + 1.0)), 1.0), 1, CTRL)
+            p_ek_series(ModelParams(1, 700, 1), 1, CTRL)
+        with pytest.raises(ConvergenceError):
+            en_exact(ModelParams(1, 700, 1), CTRL)
 
     def test_large_k_tends_to_one(self):
         p = ModelParams(1, 1, 1)
@@ -289,6 +305,12 @@ class TestArraySeries:
         rep = en_exact(p, CTRL)
         total = 1.0 + sum(1.0 - p_ek_series(p, k, CTRL) for k in range(1, rep.terms_used_k + 1))
         assert rep.en_exact == pytest.approx(total, rel=1e-13)
+
+    def test_hyp1f1_nan_point_keeps_bound_chain(self):
+        # found by a log-uniform scan: scipy's hyp1f1 is NaN at b_1 = 8.3e10 (r = 44.05)
+        rep = en_exact(ModelParams(9.888827617754983e-05, 185894.87763320244, 2.245138917244896e-06), CTRL)
+        assert math.isfinite(rep.en_exact)
+        assert 1.0 <= rep.en_exact <= rep.en_bound_jensen <= rep.en_bound_simple
 
     @given(
         alpha=st.floats(-6, 6).map(lambda e: 10.0**e),

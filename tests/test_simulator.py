@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from rcumem import simulator
 from rcumem.core import DomainError, ModelParams, RandomSource
 from rcumem.analytics import en_exact
 from rcumem.simulator import (
@@ -210,6 +211,59 @@ class TestPathwise:
                 tracemalloc.stop()
 
         assert peak(400_000) <= 1.5 * peak(50_000)
+
+
+SLAB_CASES = {
+    "read_heavy": (
+        (1, 10, 1),
+        {"seed": 3, "horizon_publications": 20_000, "sample_n_distribution": True, "record_updates": 20_005},
+    ),
+    "write_heavy": ((1000, 1, 1), {"seed": 3, "horizon_publications": 20_000}),
+}
+
+
+class TestSlabIndependence:
+    """The sample path, and so every statistic, does not depend on the slab size."""
+
+    @pytest.mark.parametrize("slab_events", [64, 1000])
+    @pytest.mark.parametrize("name", sorted(SLAB_CASES))
+    def test_same_stats_as_default_slabs(self, name, slab_events, monkeypatch):
+        params, kw = SLAB_CASES[name]
+        want = simulate(ModelParams(*params), SimConfig(**kw))
+        monkeypatch.setattr(simulator, "_SLAB_EVENTS", slab_events)
+        got = simulate(ModelParams(*params), SimConfig(**kw))
+        for field in ("mean_active_updates", "mean_age", "ci_half_width_n", "ci_half_width_age", "mean_busy_readers"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12, abs=0.0), field
+        assert (got.publications, got.reads_served) == (want.publications, want.reads_served)
+        assert got.update_records == want.update_records
+        if want.n_histogram is None:
+            assert got.n_histogram is None
+        else:
+            assert list(got.n_histogram) == list(want.n_histogram)
+            assert got.n_histogram == pytest.approx(want.n_histogram, rel=1e-12, abs=0.0)
+
+
+class TestHistogramMatchesArea:
+    """The histogram and the footprint area are summed separately; their means agree."""
+
+    @pytest.mark.parametrize(
+        "params,seed",
+        [((1, 0, 1), 2), ((1, 10, 1), 3), ((0.5, 5, 1), 4), ((1000, 1, 1), 5), ((100, 10, 1), 6)],
+    )
+    @pytest.mark.parametrize("warmup", [0.0, None])
+    def test_histogram_mean_is_mean_active_updates(self, params, seed, warmup):
+        stats = simulate(
+            ModelParams(*params),
+            SimConfig(seed=seed, warmup_time=warmup, horizon_publications=20_000, sample_n_distribution=True),
+        )
+        hist = stats.n_histogram
+        assert max(hist) < 1 + math.ceil(10.0 * params[1] / params[2]) + 20  # no mass lumped into the cap
+        assert math.fsum(hist.values()) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+        assert math.fsum(n * p for n, p in hist.items()) == pytest.approx(
+            stats.mean_active_updates, rel=1e-12, abs=0.0
+        )
+        if params[1] == 0:
+            assert stats.mean_active_updates == 1.0 and hist == {1: 1.0}
 
 
 class TestNDistribution:
