@@ -8,7 +8,6 @@ together with the Jensen upper bound and the simple 1 + lam/mu cap.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -89,13 +88,12 @@ def _kummer_m(r: float, b):
     return m
 
 
-def p_ek_series(params: ModelParams, k: int, ctrl: SeriesControl = SeriesControl()) -> float:
+def p_ek_series(params: ModelParams, k: int) -> float:
     """P(E_k) by the Poisson-weighted series sum_j pois(j; b_k) * r/(r + j), r = alpha/mu.
 
     By Kummer's transformation (DLMF 13.2.39) the series is M(1, r + 1, -b_k),
-    evaluated with scipy's hyp1f1 (see _kummer_m); ctrl is accepted for
-    symmetry with the other series functions. ConvergenceError where that is
-    not finite.
+    evaluated with scipy's hyp1f1 (see _kummer_m). ConvergenceError where
+    that is not finite.
     """
     b = b_k(params, k)
     p = float(_kummer_m(params.alpha / params.mu, b))
@@ -104,64 +102,27 @@ def p_ek_series(params: ModelParams, k: int, ctrl: SeriesControl = SeriesControl
     return p
 
 
-@functools.lru_cache(maxsize=32)
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # one eigensolve per node count; the arrays are shared, so read-only
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
-
-
-def _gauss_legendre_01(f, n: int) -> float:
-    # composite rule on [0,1]: 8 panels of n nodes each
-    nodes, weights = _leggauss(n)
-    panels = 8
-    total = 0.0
-    h = 1.0 / panels
-    for i in range(panels):
-        a = i * h
-        x = a + (nodes + 1.0) * (h / 2.0)
-        total += (h / 2.0) * float(np.dot(weights, f(x)))
-    return total
-
-
-def p_ek_quadrature(params: ModelParams, k: int, ctrl: SeriesControl = SeriesControl()) -> float:
+def p_ek_quadrature(params: ModelParams, k: int) -> float:
     """P(E_k) by the integral form alpha * int_0^inf e^{-b_k(1-e^{-mu w})} e^{-alpha w} dw.
 
-    The substitution y = e^{-mu w} turns this into
-    (alpha/mu) e^{-b_k} int_0^1 y^{alpha/mu - 1} e^{b_k y} dy. For
-    alpha/mu < 1 the endpoint singularity at y = 0 is removed with the
-    further substitution y = u^{mu/alpha}, leaving a bounded integrand.
-    Node counts are doubled until two successive results agree to 1e-10.
+    With t = alpha w this is int_0^inf exp(b_k expm1(-t/r) - t) dt, r = alpha/mu,
+    taken by one scipy quad call on [0, 40]; the rest is below e^{-40}. The
+    integrand is at most e^{-t}, so it cannot overflow, and it falls on the
+    scales 1, r and r/b_k. quad starts from breakpoints at the smallest of
+    these times powers of 10, so no scale hides between its first nodes.
+    ConvergenceError where quad's error estimate exceeds 1e-9.
     """
+    from scipy.integrate import quad  # scipy.integrate is slow to import; keep it off `import rcumem.cli`
+
     b = b_k(params, k)
     r = params.alpha / params.mu
-    if r >= 1.0:
-        def integrand(y):
-            return y ** (r - 1.0) * np.exp(b * y)
-
-        scale = r * math.exp(-b)
-    else:
-        # int_0^1 y^{r-1} e^{by} dy = (1/r) int_0^1 e^{b u^{1/r}} du
-        def integrand(u):
-            return np.exp(b * u ** (1.0 / r))
-
-        scale = math.exp(-b)
-
-    n = ctrl.quad_points
-    prev = scale * _gauss_legendre_01(integrand, n)
-    diff = math.inf
-    for _ in range(8):
-        n *= 2
-        cur = scale * _gauss_legendre_01(integrand, n)
-        diff = abs(cur - prev)
-        if diff <= 1e-10:
-            return cur
-        prev = cur
-    if diff > 1e-9:
-        raise ConvergenceError(f"p_ek_quadrature: no convergence at b_k={b}, n={n}")
-    return prev
+    c = min(1.0, r / max(1.0, b))
+    points = [c * 10.0**i for i in range(math.ceil(math.log10(40.0 / c)))]
+    f = lambda t: math.exp(b * math.expm1(-t / r) - t)
+    v, err = quad(f, 0.0, 40.0, points=points, epsabs=1e-13, epsrel=1e-13, limit=200)
+    if not err <= 1e-9:
+        raise ConvergenceError(f"p_ek_quadrature: error estimate {err:.2e} at b_k={b}")
+    return v
 
 
 def en_bound_simple(params: ModelParams) -> float:

@@ -44,27 +44,20 @@ class DerivedParams:
 
 @dataclass(frozen=True)
 class SeriesControl:
-    """Truncation policy for infinite sums and quadrature.
+    """Truncation policy for the infinite sums over the update index k.
 
     tol: absolute tail-mass tolerance for truncated series.
     max_k: cap on the outer (update index) sum.
-    max_j: accepted and validated for compatibility; the reader-count sum is
-        now in closed form, so it no longer bounds anything.
-    quad_points: starting Gauss-Legendre node count.
     """
 
     tol: float = 1e-10
     max_k: int = 200_000
-    max_j: int = 100_000
-    quad_points: int = 64
 
     def __post_init__(self):
         if not (self.tol > 0):
             raise DomainError(f"tol must be > 0, got {self.tol}")
-        if self.max_k < 1 or self.max_j < 1:
-            raise DomainError("max_k and max_j must be >= 1")
-        if self.quad_points < 16:
-            raise DomainError(f"quad_points must be >= 16, got {self.quad_points}")
+        if self.max_k < 1:
+            raise DomainError(f"max_k must be >= 1, got {self.max_k}")
 
 
 def validate(params: ModelParams) -> DerivedParams:

@@ -224,10 +224,9 @@ def lemma1_numeric(alpha: float, mu: float, k: int, w: float) -> float:
 
 
 def fy_normalization(mu: float, w: float) -> float:
-    """Total mass of fy_density (should be 1)."""
-    neg = quad(lambda y: fy_density(mu, w, y), -w, 0.0, epsabs=1e-12)[0]
+    """Total mass of fy_density (should be 1): i1_numeric plus the mass above zero."""
     pos = quad(lambda y: fy_density(mu, w, y), 0.0, math.inf, epsabs=1e-12, limit=200)[0]
-    return neg + pos
+    return i1_numeric(mu, w) + pos
 
 
 def appendix_identity_checks(grid=None) -> list[tuple[str, float, float, float]]:

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import mpmath
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,12 +100,12 @@ class TestPEkGivenW:
 
 class TestPEkSeries:
     def test_no_readers(self):
-        assert p_ek_series(ModelParams(1, 0, 1), 1, CTRL) == 1.0
+        assert p_ek_series(ModelParams(1, 0, 1), 1) == 1.0
 
     def test_matches_quadrature_unit(self):
         p = ModelParams(1, 1, 1)
-        s = p_ek_series(p, 1, CTRL)
-        q = p_ek_quadrature(p, 1, CTRL)
+        s = p_ek_series(p, 1)
+        q = p_ek_quadrature(p, 1)
         assert 0 < s < 1
         assert s == pytest.approx(q, abs=1e-8)
 
@@ -113,7 +115,7 @@ class TestPEkSeries:
     def test_where_hyp1f1_fails_matches_mpmath(self, r, b):
         # scipy's hyp1f1(1, 1 + r, -b) returns NaN at the first three b_1 and is
         # 30 ulp off at the fourth
-        p = p_ek_series(ModelParams(r, b / (r / (r + 1.0)), 1.0), 1, CTRL)
+        p = p_ek_series(ModelParams(r, b / (r / (r + 1.0)), 1.0), 1)
         with mpmath.workdps(40):
             want = mpmath.hyp1f1(1, 1 + mpmath.mpf(r), -mpmath.mpf(b))
         assert p == pytest.approx(float(want), rel=1e-15, abs=0.0)
@@ -122,15 +124,15 @@ class TestPEkSeries:
         # the large-b expansion is used only for b >= 100 (r + 1)^2
         monkeypatch.setattr(analytics, "hyp1f1", lambda a, c, z: math.nan * z)
         # at r = 1, M(1, 2, -b) = (1 - e^-b)/b
-        assert p_ek_series(ModelParams(1, 1e6, 1), 1, CTRL) == pytest.approx(1 / 5e5, rel=1e-15, abs=0.0)
+        assert p_ek_series(ModelParams(1, 1e6, 1), 1) == pytest.approx(1 / 5e5, rel=1e-15, abs=0.0)
         with pytest.raises(ConvergenceError):
-            p_ek_series(ModelParams(1, 700, 1), 1, CTRL)
+            p_ek_series(ModelParams(1, 700, 1), 1)
         with pytest.raises(ConvergenceError):
             en_exact(ModelParams(1, 700, 1), CTRL)
 
     def test_large_k_tends_to_one(self):
         p = ModelParams(1, 1, 1)
-        v = p_ek_series(p, 40, CTRL)
+        v = p_ek_series(p, 40)
         assert v >= 1 - 1e-6
         # complement bounded by b_k itself
         assert 1 - v <= 2.0**-40 + 1e-12
@@ -138,19 +140,41 @@ class TestPEkSeries:
 
 class TestPEkQuadrature:
     def test_no_readers(self):
-        assert p_ek_quadrature(ModelParams(1, 0, 1), 2, CTRL) == pytest.approx(1.0, abs=1e-10)
+        assert p_ek_quadrature(ModelParams(1, 0, 1), 2) == pytest.approx(1.0, abs=1e-10)
 
     def test_slow_writer_endpoint_substitution(self):
-        # alpha/mu < 1 exercises the singularity-removing substitution
+        # alpha/mu < 1, where the integral over y = e^{-mu w} has an endpoint singularity
         p = ModelParams(0.5, 10, 1)
-        assert p_ek_quadrature(p, 1, CTRL) == pytest.approx(p_ek_series(p, 1, CTRL), abs=1e-8)
+        assert p_ek_quadrature(p, 1) == pytest.approx(p_ek_series(p, 1), abs=1e-8)
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 2.0, 10.0, 100.0])
     @pytest.mark.parametrize("lam", [0.5, 5.0, 10.0])
     def test_equivalence_grid(self, alpha, lam):
         p = ModelParams(alpha, lam, 1.0)
         for k in range(1, 21):
-            assert p_ek_series(p, k, CTRL) == pytest.approx(p_ek_quadrature(p, k, CTRL), abs=1e-8)
+            assert p_ek_series(p, k) == pytest.approx(p_ek_quadrature(p, k), abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "alpha,lam,mu,k",
+        [
+            (0.1, 200.0, 0.1, 1),  # b_1 = 1000
+            (124.43168711678409, 289.5158479061569, 0.0018434973840837088, 10),  # r ~ 6.7e4, b ~ 1.6e5
+            (566.7169603769514, 0.001232072390974023, 0.009297951648062361, 10),  # r ~ 6.1e4
+            (2e5, 1e-3, 2.5e5, 1),  # all the mass within w < 1e-4
+            (0.045256658780940914, 626.0725395354682, 0.0022346814893483696, 1),  # drop at w ~ 1/(b mu) = 0.0017
+        ],
+    )
+    def test_hard_points_match_series(self, alpha, lam, mu, k):
+        p = ModelParams(alpha, lam, mu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = p_ek_quadrature(p, k)
+        assert q == pytest.approx(p_ek_series(p, k), abs=1e-8)
+
+    def test_large_error_estimate_is_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(scipy.integrate, "quad", lambda f, a, b, **kw: (0.5, 1.0))
+        with pytest.raises(ConvergenceError):
+            p_ek_quadrature(ModelParams(1, 1, 1), 1)
 
 
 class TestFootprint:
@@ -303,7 +327,7 @@ class TestArraySeries:
     def test_p_ek_series_is_one_entry_of_the_sum(self):
         p = ModelParams(2, 5, 1)
         rep = en_exact(p, CTRL)
-        total = 1.0 + sum(1.0 - p_ek_series(p, k, CTRL) for k in range(1, rep.terms_used_k + 1))
+        total = 1.0 + sum(1.0 - p_ek_series(p, k) for k in range(1, rep.terms_used_k + 1))
         assert rep.en_exact == pytest.approx(total, rel=1e-13)
 
     def test_hyp1f1_nan_point_keeps_bound_chain(self):

@@ -82,6 +82,13 @@ class TestAnalytic:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        out_path = str(tmp_path / "missing" / "x.csv")
+        code, _, err = run(capsys, "analytic", "--alpha", "1", "--lambda", "1", "--out", out_path)
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_huge_read_load_matches_closed_form(self, capsys):
         # at alpha = mu the k-th term is 1 - M(1, 2, -b_k) = 1 - (1 - e^{-b_k})/b_k
         code, out, err = run(capsys, "analytic", "--alpha", "1", "--lambda", "1e300", "--mu", "1")
@@ -137,6 +144,22 @@ class TestSimulate:
         assert hist.splitlines()[0] == "alpha,lambda,mu,n,weight"
         weights = [float(line.split(",")[4]) for line in hist.splitlines()[1:]]
         assert sum(weights) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("blocked", ["csv", "hist"])
+    def test_unwritable_out_exit_2(self, capsys, tmp_path, blocked):
+        # "csv": the --out directory is missing; "hist": only the .hist sidecar cannot be opened
+        if blocked == "csv":
+            out_path = str(tmp_path / "missing" / "rows.csv")
+        else:
+            out_path = str(tmp_path / "rows.csv")
+            (tmp_path / "rows.csv.hist").mkdir()
+        code, _, err = run(
+            capsys, "simulate", "--alpha", "1", "--lambda", "1", "--mu", "1",
+            "--publications", "2000", "--batches", "10", "--histogram", "--out", out_path,
+        )
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         argv = ["simulate", "--alpha", "1", "--lambda", "1", "--mu", "1",

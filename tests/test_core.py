@@ -81,7 +81,7 @@ class TestSeriesControl:
     def test_defaults_valid(self):
         SeriesControl()
 
-    @pytest.mark.parametrize("kw", [{"tol": 0}, {"tol": -1e-3}, {"max_k": 0}, {"max_j": 0}, {"quad_points": 8}])
+    @pytest.mark.parametrize("kw", [{"tol": 0}, {"tol": -1e-3}, {"max_k": 0}])
     def test_invalid(self, kw):
         with pytest.raises(DomainError):
             SeriesControl(**kw)
