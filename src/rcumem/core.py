@@ -89,9 +89,13 @@ class RandomSource:
     Backed by numpy's PCG64 (documented, seedable, period 2^128); the stream
     name is hashed through SHA-256 so distinct names give decorrelated
     sub-streams of the same seed. Exponential and integer-shape Gamma
-    variates are built from uniforms by inverse transform; Poisson variates
-    are numpy's own (Generator.poisson), so for one seed they are fixed for
-    a given numpy install.
+    variates are built from uniforms by inverse transform, -log1p(-U)/rate,
+    computed in place on the drawn uniforms as log1p(-U)/(-rate) (for Gamma,
+    the row sum of log1p(-U) over -rate). Under round-to-nearest, negation
+    is exact and a sign moves freely through a sum or a quotient, so the
+    values are bit-identical to the textbook form and no temporary array is
+    made. Poisson variates are numpy's own (Generator.poisson), so for one
+    seed they are fixed for a given numpy install.
 
     Instances are single-owner: never share one across threads.
     """
@@ -110,8 +114,10 @@ class RandomSource:
         """Exponential(rate) via inverse transform -log(1-U)/rate."""
         if rate <= 0:
             raise DomainError(f"rate must be > 0, got {rate}")
-        u = self._gen.random(size)
-        return -np.log1p(-u) / rate
+        u = self._gen.random(1 if size is None else size)
+        np.log1p(np.negative(u, out=u), out=u)
+        u /= -rate
+        return u[0] if size is None else u
 
     def gamma_int(self, shape: int, rate: float, size: int | None = None):
         """Gamma(integer shape, rate) as a sum of `shape` exponentials."""
@@ -121,7 +127,9 @@ class RandomSource:
             raise DomainError(f"rate must be > 0, got {rate}")
         n = 1 if size is None else int(size)
         u = self._gen.random((n, int(shape)))
-        out = -np.log1p(-u).sum(axis=1) / rate
+        np.log1p(np.negative(u, out=u), out=u)
+        out = u.sum(axis=1)
+        out /= -rate
         return float(out[0]) if size is None else out
 
     def poisson(self, mean, size: int | None = None):

@@ -66,9 +66,10 @@ def lemma1_cells(
 
     U ~ uniform(-w, 0), X ~ exponential(mu), L ~ Gamma(k, alpha), all
     independent. The unit-rate uniforms, exponentials and Gamma(k, 1)
-    variates are drawn once on the "lemma1" stream and scaled per cell;
-    dividing by a rate is exact, so each cell's hits equal a draw made at
-    that cell's own rates. The target closed form is lemma1_epsilon.
+    variates are drawn once on the "lemma1" stream and scaled once per
+    distinct w, mu and alpha; dividing by a rate is exact, so each cell's
+    hits equal a draw made at that cell's own rates. The target closed form
+    is lemma1_epsilon.
     """
     if samples < 10_000:
         raise DomainError(f"samples must be >= 1e4, got {samples}")
@@ -80,9 +81,12 @@ def lemma1_cells(
     unit_u = rs.uniform(samples)
     unit_x = rs.exponential(1.0, samples)
     unit_l = rs.gamma_int(k, 1.0, samples)
+    neg_u = {w: -w * unit_u for w in {w for _, w in cells}}
+    x = {mu: unit_x / mu for mu in {p.mu for p, _ in cells}}
+    l = {alpha: unit_l / alpha for alpha in {p.alpha for p, _ in cells}}
     out = []
     for params, w in cells:
-        hits = int(np.count_nonzero(-w * unit_u + unit_x / params.mu <= unit_l / params.alpha))
+        hits = int(np.count_nonzero(neg_u[w] + x[params.mu] <= l[params.alpha]))
         # Agresti-Coull: the plug-in se collapses to ~0 when all but a few samples agree
         p_ac = (hits + 2) / (samples + 4)
         se = math.sqrt(p_ac * (1.0 - p_ac) / (samples + 4))
@@ -95,14 +99,18 @@ def mc_lemma1(params: ModelParams, k: int, w: float, samples: int, seed: int) ->
     return lemma1_cells(k, [(params, w)], samples, seed)[0]
 
 
-def mc_p_ek(params: ModelParams, k: int, samples: int, seed: int, chunk: int = 100_000) -> McEstimate:
+# w, m, L, U and E interleave on the one "p_ek" stream per chunk: another size re-draws every estimate
+_P_EK_CHUNK = 100_000
+
+
+def mc_p_ek(params: ModelParams, k: int, samples: int, seed: int) -> McEstimate:
     """Estimate the probability that update k's grace period has ended.
 
     Per sample: the preceding write time w ~ exponential(alpha) fixes the
     currency window; m ~ Poisson(lam*w) readers land uniformly in it with
     exponential(mu) holds; the elapsed time L ~ Gamma(k, alpha) is shared
-    by all of them. Success iff every reader released by L (vacuous for
-    m = 0).
+    by all of them. Success iff the latest reader release is by L
+    (vacuous for m = 0), so only one maximum per sample is kept.
     """
     if samples < 10_000:
         raise DomainError(f"samples must be >= 1e4, got {samples}")
@@ -111,23 +119,19 @@ def mc_p_ek(params: ModelParams, k: int, samples: int, seed: int, chunk: int = 1
     validate(params)
     rs = RandomSource(seed, "p_ek")
     good = 0
-    done = 0
-    while done < samples:
-        n = min(chunk, samples - done)
+    for done in range(0, samples, _P_EK_CHUNK):
+        n = min(_P_EK_CHUNK, samples - done)
         w = rs.exponential(params.alpha, n)
         m = rs.poisson(params.lam * w) if params.lam > 0 else np.zeros(n, dtype=np.int64)
         l = rs.gamma_int(k, params.alpha, n)
         total = int(m.sum())
-        if total:
-            wrep = np.repeat(w, m)
-            y = -wrep * rs.uniform(total) + rs.exponential(params.mu, total)
-            late = y > np.repeat(l, m)
-            idx = np.repeat(np.arange(n), m)
-            n_late = np.bincount(idx, weights=late.astype(np.float64), minlength=n)
-            good += int(np.sum(n_late == 0))
-        else:
-            good += n
-        done += n
+        # release y = E - U*w per reader, in place; bit-identical to -w*U + E
+        y = rs.uniform(total)
+        y *= np.repeat(w, m)
+        np.subtract(rs.exponential(params.mu, total), y, out=y)
+        busy = m > 0
+        latest = np.maximum.reduceat(y, (np.cumsum(m) - m)[busy])
+        good += n - int(np.count_nonzero(latest > l[busy]))
     est = good / samples
     se = math.sqrt(est * (1.0 - est) / samples)
     return McEstimate(est, se, samples)

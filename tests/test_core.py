@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +130,32 @@ class TestRandomSource:
         x = RandomSource(7, "g").gamma_int(3, 2.0, 400_000)
         assert x.mean() == pytest.approx(1.5, rel=0.01)
         assert x.var() == pytest.approx(0.75, rel=0.03)
+
+    def test_exponential_is_inverse_transform_of_uniforms(self):
+        n = 100_000
+        u = RandomSource(7, "e").uniform(n)
+        assert np.array_equal(RandomSource(7, "e").exponential(2.0, n), -np.log1p(-u) / 2.0)
+        scalar = RandomSource(7, "e").exponential(2.0)
+        assert type(scalar) is np.float64
+        assert scalar == -np.log1p(-RandomSource(7, "e").uniform()) / 2.0
+
+    def test_gamma_int_is_sum_of_inverse_transforms(self):
+        n = 100_000
+        u = RandomSource(7, "g").uniform((n, 3))
+        assert np.array_equal(RandomSource(7, "g").gamma_int(3, 2.0, n), -np.log1p(-u).sum(axis=1) / 2.0)
+        scalar = RandomSource(7, "g").gamma_int(3, 2.0)
+        assert type(scalar) is float
+        assert scalar == -np.log1p(-RandomSource(7, "g").uniform((1, 3))).sum() / 2.0
+
+    def test_exponential_needs_no_temporaries(self):
+        # 1e6 doubles are 7.6 MiB; the uniforms are transformed in place
+        tracemalloc.start()
+        try:
+            RandomSource(7, "e").exponential(2.0, 1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 2**20
 
     def test_invalid_args(self):
         rs = RandomSource(1)

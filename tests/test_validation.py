@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -153,6 +154,32 @@ class TestMcPEk:
         est = mc_p_ek(ModelParams(1, 0, 1), 1, 20_000, seed=1)
         assert est.estimate == 1.0
         assert est.std_error == 0.0
+
+    @pytest.mark.parametrize(
+        "params,k,samples,seed,estimate",
+        [
+            (ModelParams(1, 1, 1), 1, 200_000, 2, 0.79762),
+            (ModelParams(3, 7, 1), 3, 200_000, 9, 0.573605),
+            (ModelParams(1, 10, 1), 1, 200_000, 5, 0.2872),
+            # two full chunks and a half one
+            (ModelParams(2, 5, 1), 2, 250_000, 4, 0.572152),
+        ],
+    )
+    def test_pinned_estimates(self, params, k, samples, seed, estimate):
+        # exact values captured before the per-sample maximum; they depend on
+        # numpy's Poisson sampler
+        assert mc_p_ek(params, k, samples, seed).estimate == estimate
+
+    def test_memory_is_per_reader_draws_only(self):
+        # about 1e6 readers per 1e5-sample chunk at lambda = 10: the uniforms
+        # and the exponentials are 7.6 MiB each
+        tracemalloc.start()
+        try:
+            mc_p_ek(ModelParams(1, 10, 1), 1, 200_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20
 
     @pytest.mark.parametrize(
         "params,k",
