@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hyp1f1
 
 from .core import ConvergenceError, DomainError, ModelParams, SeriesControl, b_k, validate
 
@@ -60,31 +59,43 @@ def p_ek_given_w(params: ModelParams, k: int, w: float) -> float:
     return math.exp(b * math.expm1(-params.mu * w))
 
 
-# large-b expansion terms: for b >= 100 (r + 1)^2 each term is at most s/(100 (r + 1))
-# times the one before, so the first one omitted is below 13!/100^13 < 1e-16
-_LARGE_B_TERMS = 13
+# Gauss-Laguerre rule for int_0^inf e^{-s} f(s) ds (DLMF 3.5(v)); every node is below 146.5
+_LAG_S, _LAG_W = np.polynomial.laguerre.laggauss(40)
 
 
 def _kummer_m(r: float, b):
-    """M(1, r + 1, -b) for b >= 0 (scalar or array); NaN where it cannot be computed.
+    """M(1, r + 1, -b) for b >= 0 (scalar or array), with numpy alone.
 
-    scipy's hyp1f1 is off by up to ~60 ulp at small b once r >~ 10, and NaN
-    there below b ~ 1e-238 and at isolated points with r ~ 10-55 and b above
-    ~5e10. Below b = 1e-8 the value is 1 - b/(r + 1), whose first omitted
-    term is below 1e-16. Where hyp1f1 is NaN and b >= 100 (r + 1)^2 it is the
-    large-b expansion (r/b) sum_s (1 - r)_s b^{-s} (DLMF 13.7.2). Any other
-    NaN stays.
+    M = int_0^inf exp(b expm1(-t/r) - t) dt (DLMF 13.4.1), taken three ways:
+    - r >= 10: t = s/c with c = 1 + b/r, the integrand's initial decay rate,
+      gives (1/c) int_0^inf e^{-s} exp(b (expm1(-x) + x)) ds with x = s/(c r),
+      for the 40-node Laguerre rule; below x = 1e-3, expm1(-x) + x is its
+      Taylor series, which does not cancel.
+    - r < 10, b < 150: Kummer's transformation (DLMF 13.2.39) gives the
+      Poisson sum e^{-b} (1 + sum_{n>=1} (b^n/n!) r/(r + n)), whose terms are
+      all positive; it is cut b + 12 sqrt(b) + 40 terms in, at the largest b.
+    - r < 10, b >= 150: y = b (1 - e^{-t/r}) gives
+      (r/b) int_0^b e^{-y} (1 - y/b)^{r-1} dy, for the same rule, whose nodes
+      all lie below b; the part beyond b is O(e^{-150}).
+    Within 1e-13 relative of 30-digit mpmath for r in [1e-12, 1e10] and b in
+    [0, 1e13].
     """
     b = np.asarray(b, dtype=float)
-    m = np.where(b < 1e-8, 1.0 - b / (1.0 + r), hyp1f1(1.0, 1.0 + r, -b))
-    bad = ~np.isfinite(m) & (b >= 100.0 * (r + 1.0) ** 2)
-    if bad.any():
-        x = b[bad]
-        term = total = np.ones_like(x)
-        for s in range(1, _LARGE_B_TERMS):
-            term = term * (s - r) / x
-            total = total + term
-        m[bad] = r / x * total
+    if r >= 10.0:
+        c = 1.0 + b / r
+        x = _LAG_S / (c[..., None] * r)
+        f = np.where(x < 1e-3, x * x * (0.5 - x * (1 / 6 - x * (1 / 24 - x / 120))), np.expm1(-x) + x)
+        return np.exp(b[..., None] * f) @ _LAG_W / c
+    m = np.empty_like(b)
+    small = b < 150.0
+    bs = b[small]
+    if bs.size:
+        top = float(bs.max())
+        n = np.arange(1.0, top + 12.0 * math.sqrt(top) + 41.0)
+        m[small] = np.exp(-bs) * (1.0 + np.cumprod(bs[..., None] / n, axis=-1) @ (r / (r + n)))
+    if bs.size < b.size:
+        bl = b[~small]
+        m[~small] = r / bl * (np.exp((r - 1.0) * np.log1p(-_LAG_S / bl[..., None])) @ _LAG_W)
     return m
 
 
@@ -92,13 +103,12 @@ def p_ek_series(params: ModelParams, k: int) -> float:
     """P(E_k) by the Poisson-weighted series sum_j pois(j; b_k) * r/(r + j), r = alpha/mu.
 
     By Kummer's transformation (DLMF 13.2.39) the series is M(1, r + 1, -b_k),
-    evaluated with scipy's hyp1f1 (see _kummer_m). ConvergenceError where
-    that is not finite.
+    evaluated by _kummer_m. ConvergenceError where that is not finite.
     """
     b = b_k(params, k)
     p = float(_kummer_m(params.alpha / params.mu, b))
     if not math.isfinite(p):
-        raise ConvergenceError(f"p_ek_series: hyp1f1 not finite at b_k={b}")
+        raise ConvergenceError(f"p_ek_series: M(1, r + 1, -b) not finite at b_k={b}")
     return p
 
 
@@ -222,7 +232,7 @@ def en_exact(params: ModelParams, ctrl: SeriesControl = SeriesControl()) -> Foot
     den = r + np.arange(1.0, _TAIL_TERMS + 1.0)
     total = 1.0 + _sum_over_k(lambda b: 1.0 - _kummer_m(r, b), den, dp.rho, dp.q, k)
     if not math.isfinite(total):
-        raise ConvergenceError("en_exact: hyp1f1 not finite")
+        raise ConvergenceError("en_exact: M(1, r + 1, -b) not finite")
     return FootprintReport(total, _jensen(r, dp.rho, dp.q, k), simple, k, _geometric_tail(dp.rho, dp.q, k))
 
 

@@ -19,12 +19,12 @@ the next, so memory does not grow with the horizon.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .core import DomainError, ModelParams, RandomSource, validate
 
@@ -96,11 +96,65 @@ def _default_warmup(params: ModelParams) -> float:
     return w
 
 
-def _batch_ci(batch_sums: np.ndarray, batch_durs: np.ndarray) -> float:
+# the standard normal 0.975 quantile
+_Z975 = 1.959963984540054
+
+
+def _log_gamma_half_ratio(a: float) -> float:
+    """ln(Gamma(a + 1/2) / Gamma(a)), without lgamma's cancellation at large a."""
+    if a < 20.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    # difference of Stirling's series (z - 1/2) ln z - z + sum_j B_2j / (2j (2j - 1) z^(2j - 1))
+    # at z = a + 1/2 and z = a; the first terms omitted differ by under 4e-16 from a = 20 on
+    def s(z):
+        return (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * z * z)) / (z * z)) / (z * z)) / z
+
+    return a * math.log1p(0.5 / a) - 0.5 + 0.5 * math.log(a) + s(a + 0.5) - s(a)
+
+
+@functools.lru_cache(maxsize=None)  # a sweep asks for one nu at every point
+def _t975(nu: int) -> float:
+    """t_{0.975, nu}, the Student-t quantile, by Newton's method on the upper tail.
+
+    With a = nu/2, y = t^2/nu and x = 1/(1 + y), P(T > t) = I_x(a, 1/2)/2,
+    and the continued fraction of DLMF 8.17.22 gives I_x(a, 1/2) =
+    x^a (1 - x)^{1/2} h / (a B(a, 1/2)); it converges fast where
+    x < (a + 1)/(a + 5/2), which holds for every t >= sqrt(3). Divided by
+    the density (1 + y)^{-(a + 1/2)} / (sqrt(nu) B(a, 1/2)), the tail is
+    t h / nu, so B enters only the density. The start z + (z^3 + z)/(4 nu)
+    is below the root and the tail is convex, so the iterates rise to it.
+    """
+    a = 0.5 * nu
+    log_b = 0.5 * math.log(math.pi) - _log_gamma_half_ratio(a)  # ln B(a, 1/2)
+    t = _Z975 + (_Z975**3 + _Z975) / (4.0 * nu)
+    for _ in range(50):
+        y = t * t / nu
+        x = 1.0 / (1.0 + y)
+        # modified Lentz evaluation of 1/(1 + d_1/(1 + d_2/(1 + ...)))
+        c, d = 1.0, 1.0 / (1.0 - (a + 0.5) * x / (a + 1.0))
+        h = d
+        for m in range(1, 10_000):
+            for num in (
+                m * (0.5 - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                -(a + m) * (a + 0.5 + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+            ):
+                d = 1.0 / (1.0 + num * d)
+                c = 1.0 + num / c
+                h *= d * c
+            if abs(d * c - 1.0) <= 1e-16:
+                break
+        density = math.exp(-log_b - (a + 0.5) * math.log1p(y)) / math.sqrt(nu)
+        step = t * h / nu - 0.025 / density
+        t += step
+        if abs(step) <= 1e-9 * t:  # Newton converges quadratically: the error left is ~step^2
+            break
+    return t
+
+
+def _batch_ci(batch_sums: np.ndarray, batch_durs: np.ndarray, tq: float) -> float:
+    """Half-width tq * s/sqrt(b) over the b batch means, with tq = _t975(b - 1)."""
     means = batch_sums / batch_durs
-    b = len(means)
-    tq = stdtrit(b - 1, 0.975)
-    return float(tq * means.std(ddof=1) / math.sqrt(b))
+    return float(tq * means.std(ddof=1) / math.sqrt(len(means)))
 
 
 def simulate(params: ModelParams, config: SimConfig) -> SimStats:
@@ -207,10 +261,23 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
             # batch boundaries are publication times, so both areas are exact there
             j = k0 - 1 - pubs + boundaries[(boundaries > pubs) & (boundaries <= pubs + n_new)]
             tau = pub[j]
-            snap_stale.extend(area_stale + float(np.maximum(np.minimum(xe, t) - xs, 0.0).sum()) for t in tau.tolist())
+            lens = xe - xs
+            if len(tau):
+                # the area to tau is that of the extensions starting before it, less the
+                # parts past tau of those straddling it; xs is sorted, and a straddler
+                # starts less than the longest extension's length before tau, so each
+                # tau is paired with the candidates xs[lo_x:hi_x], listed in (at, ix)
+                hi_x = np.searchsorted(xs, tau)
+                before = np.concatenate(([0.0], np.cumsum(lens[: hi_x[-1]])))[hi_x]
+                lo_x = np.searchsorted(xs, tau - lens.max(initial=0.0))
+                runs = hi_x - lo_x
+                at = np.repeat(np.arange(len(tau)), runs)
+                ix = np.arange(len(at)) + np.repeat(lo_x - (np.cumsum(runs) - runs), runs)
+                past = np.bincount(at, weights=np.maximum(xe[ix] - tau[at], 0.0), minlength=len(tau))
+                snap_stale.extend((area_stale + (before - past)).tolist())
             snap_age.extend((area_age + cum_age[j - 1]).tolist())
             snap_t.extend(tau.tolist())
-            area_stale += float((xe - xs).sum())
+            area_stale += float(lens.sum())
             area_age += float(cum_age[-1])
 
         if rec_left > 0:
@@ -232,8 +299,9 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
     starts_age = np.concatenate(([0.0], snap_age[:-1]))
     starts_t = np.concatenate(([warmup], snap_t[:-1]))
     durs = np.asarray(snap_t) - starts_t
-    ci_n = _batch_ci(np.asarray(snap_stale) - starts_stale, durs)
-    ci_age = _batch_ci(np.asarray(snap_age) - starts_age, durs)
+    tq = _t975(nb - 1)
+    ci_n = _batch_ci(np.asarray(snap_stale) - starts_stale, durs, tq)
+    ci_age = _batch_ci(np.asarray(snap_age) - starts_age, durs, tq)
 
     histogram = None
     if want_hist:

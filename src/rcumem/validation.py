@@ -73,7 +73,7 @@ def lemma1_cells(
     """
     if samples < 10_000:
         raise DomainError(f"samples must be >= 1e4, got {samples}")
-    if k < 1 or any(w <= 0 for _, w in cells):
+    if k < 1 or any(not w > 0 for _, w in cells):
         raise DomainError("need k >= 1 and w > 0")
     for params, _ in cells:
         validate(params)

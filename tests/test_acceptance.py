@@ -230,3 +230,24 @@ class TestCliImport:
         child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
         assert child.returncode == 0, child.stderr
         assert child.stdout.strip() == ""
+
+    def test_no_scipy_on_analytic_simulate_or_tradeoff(self):
+        # only validate and p_ek_quadrature use scipy, and they import it when called;
+        # the grids reach every regime of the Kummer function (r below and above 10,
+        # b below and above 150)
+        code = "\n".join(
+            [
+                "import contextlib, io, sys, rcumem.cli",
+                "for argv in (",
+                "    ['analytic', '--alpha', '0.01:1000:9:log', '--lambda', '0,1,1000', '--mu', '1'],",
+                "    ['simulate', '--alpha', '1', '--lambda', '2', '--publications', '1000', '--batches', '10'],",
+                "    ['tradeoff', '--alpha', '0.5:50:4:log', '--lambda', '500'],",
+                "):",
+                "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+                "        assert rcumem.cli.main(argv) == 0, argv",
+                "print(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+            ]
+        )
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == ""

@@ -2,6 +2,7 @@ import math
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 import scipy.integrate
 from hypothesis import given, settings
@@ -110,25 +111,36 @@ class TestPEkSeries:
         assert s == pytest.approx(q, abs=1e-8)
 
     @pytest.mark.parametrize(
-        "r,b", [(16.748706233275186, 2896938455708.6064), (44.0, 8.1e10), (10.0, 1e-300), (44.0, 1e-100)]
+        "r,b",
+        [
+            (16.748706233275186, 2896938455708.6064),
+            (44.0, 8.1e10),
+            (10.0, 1e-300),
+            (44.0, 1e-100),
+            # r and b_1 at (15483.244758729303, 83819.42618882096, 3.398482605123476e-06)
+            (4555928794.629436, 24663779665.683384),
+            (1.8263921542659193e-12, 643.1727650444847),
+        ],
     )
     def test_where_hyp1f1_fails_matches_mpmath(self, r, b):
-        # scipy's hyp1f1(1, 1 + r, -b) returns NaN at the first three b_1 and is
-        # 30 ulp off at the fourth
+        # scipy's hyp1f1(1, 1 + r, -b) returns NaN at the first three b_1, is
+        # 30 ulp off at the fourth, 3.2e-6 off at the fifth and 4.1e-5 at the sixth
         p = p_ek_series(ModelParams(r, b / (r / (r + 1.0)), 1.0), 1)
         with mpmath.workdps(40):
             want = mpmath.hyp1f1(1, 1 + mpmath.mpf(r), -mpmath.mpf(b))
         assert p == pytest.approx(float(want), rel=1e-15, abs=0.0)
 
-    def test_other_non_finite_hyp1f1_is_convergence_error(self, monkeypatch):
-        # the large-b expansion is used only for b >= 100 (r + 1)^2
-        monkeypatch.setattr(analytics, "hyp1f1", lambda a, c, z: math.nan * z)
-        # at r = 1, M(1, 2, -b) = (1 - e^-b)/b
-        assert p_ek_series(ModelParams(1, 1e6, 1), 1) == pytest.approx(1 / 5e5, rel=1e-15, abs=0.0)
+    def test_non_finite_kummer_m_is_convergence_error(self, monkeypatch):
+        monkeypatch.setattr(analytics, "_kummer_m", lambda r, b: math.nan * np.asarray(b))
         with pytest.raises(ConvergenceError):
             p_ek_series(ModelParams(1, 700, 1), 1)
         with pytest.raises(ConvergenceError):
             en_exact(ModelParams(1, 700, 1), CTRL)
+
+    @pytest.mark.parametrize("b", [1e-9, 0.3, 5.0, 40.0, 700.0, 5e5])
+    def test_r_one_closed_form(self, b):
+        # at r = 1, M(1, 2, -b) = (1 - e^-b)/b, and b_1 = lam/2 at (1, lam, 1)
+        assert p_ek_series(ModelParams(1, 2 * b, 1), 1) == pytest.approx(-math.expm1(-b) / b, rel=1e-15, abs=0.0)
 
     def test_large_k_tends_to_one(self):
         p = ModelParams(1, 1, 1)
@@ -136,6 +148,38 @@ class TestPEkSeries:
         assert v >= 1 - 1e-6
         # complement bounded by b_k itself
         assert 1 - v <= 2.0**-40 + 1e-12
+
+
+def _mp_kummer(r, b):
+    """M(1, r + 1, -b) at 30 digits: mpmath's hyp1f1, or its integral where the series stalls."""
+    with mpmath.workdps(30):
+        r, b = mpmath.mpf(r), mpmath.mpf(b)
+        try:
+            return float(mpmath.hyp1f1(1, 1 + r, -b))
+        except mpmath.libmp.NoConvergence:  # r and b both large and close
+            # int_0^inf exp(b expm1(-t/r) - t) dt, split where its scales 1, r and r/b fall
+            c = min(1, r / max(1, b))
+            points = [0] + [c * 10**i for i in range(math.ceil(math.log10(60 / c)) + 1)] + [mpmath.inf]
+            return float(mpmath.quad(lambda t: mpmath.exp(b * mpmath.expm1(-t / r) - t), points))
+
+
+class TestKummerM:
+    @given(
+        r=st.floats(-12, 10).map(lambda e: 10.0**e),
+        b=st.one_of(st.just(0.0), st.floats(-10, 13).map(lambda e: 10.0**e)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_mpmath(self, r, b):
+        assert float(analytics._kummer_m(r, b)) == pytest.approx(_mp_kummer(r, b), rel=1e-13, abs=0.0)
+
+    def test_vectorised_over_b(self):
+        b = np.array([[0.0, 1e-3, 3.0], [149.0, 151.0, 1e8]])
+        for r in (0.5, 10.0):
+            m = analytics._kummer_m(r, b)
+            assert m.shape == b.shape
+            for got, x in zip(m.ravel(), b.ravel()):
+                assert got == pytest.approx(float(analytics._kummer_m(r, x)), rel=1e-15, abs=0.0)
+        assert analytics._kummer_m(0.5, np.empty(0)).shape == (0,)
 
 
 class TestPEkQuadrature:

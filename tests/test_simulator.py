@@ -219,6 +219,8 @@ SLAB_CASES = {
         {"seed": 3, "horizon_publications": 20_000, "sample_n_distribution": True, "record_updates": 20_005},
     ),
     "write_heavy": ((1000, 1, 1), {"seed": 3, "horizon_publications": 20_000}),
+    # one publication per batch: many boundaries per slab, and extensions straddling several
+    "batch_per_publication": ((0.5, 10, 1), {"seed": 3, "horizon_publications": 5_000, "batch_count": 5_000}),
 }
 
 
@@ -241,6 +243,15 @@ class TestSlabIndependence:
         else:
             assert list(got.n_histogram) == list(want.n_histogram)
             assert got.n_histogram == pytest.approx(want.n_histogram, rel=1e-12, abs=0.0)
+
+
+class TestTQuantile:
+    def test_matches_scipy(self):
+        from scipy.special import stdtrit
+
+        for nu in range(9, 1001):
+            assert simulator._t975(nu) == pytest.approx(stdtrit(nu, 0.975), rel=1e-13, abs=0.0), nu
+        assert simulator._t975(10**6) == pytest.approx(stdtrit(10**6, 0.975), rel=1e-10, abs=0.0)
 
 
 class TestHistogramMatchesArea:

@@ -92,6 +92,11 @@ class TestMcLemma1:
         with pytest.raises(DomainError):
             mc_lemma1(ModelParams(1, 1, 1), 1, 1.0, 100, seed=1)
 
+    def test_nan_window_rejected(self):
+        # every comparison with NaN is false, so a `w <= 0` check lets it through
+        with pytest.raises(DomainError):
+            mc_lemma1(ModelParams(1, 1, 1), 1, math.nan, 10_000, 1)
+
     def test_std_error_near_certainty(self):
         # 1 - p is 3.2e-5, so 2e5 samples expect 6.4 misses; this seed draws 1.
         # The plug-in se sqrt(p(1-p)/n) shrinks with the misses and put it 5.4 se out.
