@@ -19,7 +19,6 @@ the next, so memory does not grow with the horizon.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -112,7 +111,6 @@ def _log_gamma_half_ratio(a: float) -> float:
     return a * math.log1p(0.5 / a) - 0.5 + 0.5 * math.log(a) + s(a + 0.5) - s(a)
 
 
-@functools.lru_cache(maxsize=None)  # a sweep asks for one nu at every point
 def _t975(nu: int) -> float:
     """t_{0.975, nu}, the Student-t quantile, by Newton's method on the upper tail.
 
@@ -261,23 +259,10 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
             # batch boundaries are publication times, so both areas are exact there
             j = k0 - 1 - pubs + boundaries[(boundaries > pubs) & (boundaries <= pubs + n_new)]
             tau = pub[j]
-            lens = xe - xs
-            if len(tau):
-                # the area to tau is that of the extensions starting before it, less the
-                # parts past tau of those straddling it; xs is sorted, and a straddler
-                # starts less than the longest extension's length before tau, so each
-                # tau is paired with the candidates xs[lo_x:hi_x], listed in (at, ix)
-                hi_x = np.searchsorted(xs, tau)
-                before = np.concatenate(([0.0], np.cumsum(lens[: hi_x[-1]])))[hi_x]
-                lo_x = np.searchsorted(xs, tau - lens.max(initial=0.0))
-                runs = hi_x - lo_x
-                at = np.repeat(np.arange(len(tau)), runs)
-                ix = np.arange(len(at)) + np.repeat(lo_x - (np.cumsum(runs) - runs), runs)
-                past = np.bincount(at, weights=np.maximum(xe[ix] - tau[at], 0.0), minlength=len(tau))
-                snap_stale.extend((area_stale + (before - past)).tolist())
+            snap_stale.extend(area_stale + float(np.maximum(np.minimum(xe, t) - xs, 0.0).sum()) for t in tau.tolist())
             snap_age.extend((area_age + cum_age[j - 1]).tolist())
             snap_t.extend(tau.tolist())
-            area_stale += float(lens.sum())
+            area_stale += float((xe - xs).sum())
             area_age += float(cum_age[-1])
 
         if rec_left > 0:
