@@ -6,7 +6,6 @@ from .core import (
     DomainError,
     ModelParams,
     RandomSource,
-    SeriesControl,
     b_k,
     validate,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "FootprintReport",
     "ModelParams",
     "RandomSource",
-    "SeriesControl",
     "SimConfig",
     "SimStats",
     "UpdateRecord",

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvergenceError, DomainError, ModelParams, SeriesControl, b_k, validate
+from .core import ConvergenceError, DomainError, ModelParams, b_k, validate
 
 
 @dataclass(frozen=True)
 class FootprintReport:
-    """Exact footprint, its two upper bounds, and the truncation certificate."""
+    """Exact footprint, its two upper bounds, the head length and the tail remainder."""
 
     en_exact: float
     en_bound_jensen: float
@@ -141,99 +141,73 @@ def en_bound_simple(params: ModelParams) -> float:
     return 1.0 + dp.rho
 
 
-def _geometric_tail(rho: float, q: float, k: int) -> float:
-    # sum_{i > k} (lam/alpha) q^i = (lam/mu) q^k; rigorous majorant of the discarded terms
-    return rho * q**k
-
-
-def _terms_needed(rho: float, q: float, ctrl: SeriesControl, name: str) -> int:
-    """K, the first k >= 1 with rho q^k < ctrl.tol; ConvergenceError past ctrl.max_k.
-
-    The closed form ln(tol/rho)/ln(q) is rounded up, then moved by whole
-    steps until it is exactly the first k for which the term-by-term test
-    rho q^k < tol holds.
-    """
-    if _geometric_tail(rho, q, 1) < ctrl.tol:
-        return 1
-    k = ctrl.max_k + 1  # q rounded to 1, or an infinite rho, never meets tol
-    if q < 1.0 and math.isfinite(rho):
-        k = min(k, math.ceil((math.log(ctrl.tol) - math.log(rho)) / math.log(q)))
-        while k > 1 and _geometric_tail(rho, q, k - 1) < ctrl.tol:
-            k -= 1
-        while k <= ctrl.max_k and _geometric_tail(rho, q, k) >= ctrl.tol:
-            k += 1
-    if k > ctrl.max_k:
-        raise ConvergenceError(f"{name}: max_k={ctrl.max_k} reached")
-    return k
-
-
 # power-series terms kept in the k-tail: each is at most half the one before
 _TAIL_TERMS = 64
+# cap on the k summed directly: a 190,000-term head at r >= 10 peaks at 242 MiB
+_MAX_HEAD = 200_000
 
 
-def _sum_over_k(f, den: np.ndarray, rho: float, q: float, k_total: int) -> float:
-    """sum_{k=1}^{k_total} f(rho q^k), where f(b) = -sum_{n>=1} prod_{i<=n} (-b/den[i-1]).
+def _sum_over_k(f, den: np.ndarray, params: ModelParams, name: str) -> tuple[float, int, float]:
+    """sum_{k>=1} f(b_k), b_k = rho q^k, where f(b) = -sum_{n>=1} prod_{i<=n} (-b/den[i-1]).
 
-    Up to _TAIL_TERMS terms are evaluated directly with f, as one array;
-    beyond that, so are the terms with b above den[0]/2. In the rest the
-    series ratio stays at or below 1/2, so the two sums are swapped:
-    sum_{i<m} q^{n i} = expm1(n m ln q)/expm1(n ln q) leaves one power series
-    in the first tail b, and the cost does not depend on k_total.
+    Returns (sum, head, remainder). The head, the k with b_k above den[0]/2,
+    is evaluated directly with f, as one array. In the rest the series ratio
+    stays at or below 1/2, so the two sums are swapped:
+    sum_{i>=0} q^{n i} = -1/expm1(n ln q) leaves one power series in the
+    first tail b, cut after _TAIL_TERMS terms; the remainder bounds what the
+    cut drops. ConvergenceError where alpha/mu overflows (q rounds to 1), or
+    past _MAX_HEAD head terms.
     """
-    if q == 0.0 or rho == 0.0:
-        return 0.0  # every b_k rounds to 0, where f vanishes
-    if k_total <= _TAIL_TERMS:
-        return float(f(rho * np.power(q, np.arange(1.0, k_total + 1.0))).sum())
-    lnq = math.log(q)
+    rho = params.lam / params.mu
+    if rho == 0.0:
+        return 0.0, 0, 0.0  # every b_k rounds to 0, where f vanishes
+    if math.isinf(params.alpha / params.mu):
+        raise ConvergenceError(f"{name}: alpha/mu overflows, so q rounds to 1")
+    lnq = -math.log1p(params.mu / params.alpha)  # math.log(q) would carry q's rounding, 1e-16 r relative
     # b_k is above the cut for k < x
     x = (math.log(den[0]) - math.log(2.0) - math.log(rho)) / lnq
-    head = max(0, min(k_total, math.ceil(x) - 1))
-    total = float(f(rho * np.power(q, np.arange(1.0, head + 1.0))).sum())
-    m = k_total - head
-    if m:
-        n = np.arange(1.0, _TAIL_TERMS + 1.0)
-        terms = np.cumprod(-rho * q ** (head + 1) / den)
-        total -= float(np.dot(terms, np.expm1(n * m * lnq) / np.expm1(n * lnq)))
-    return total
+    if not x <= _MAX_HEAD + 1:
+        raise ConvergenceError(f"{name}: more than {_MAX_HEAD} terms above the power-series cut")
+    head = max(0, math.ceil(x) - 1)
+    total = float(f(rho * np.exp(np.arange(1.0, head + 1.0) * lnq)).sum())
+    n = np.arange(1.0, _TAIL_TERMS + 1.0)
+    terms = np.cumprod(-rho * math.exp((head + 1) * lnq) / den) / np.expm1(n * lnq)
+    return total + float(terms.sum()), head, abs(float(terms[-1]))
 
 
-def _jensen(r: float, rho: float, q: float, k_total: int) -> float:
-    return 1.0 + _sum_over_k(lambda b: b / (b + r), np.full(_TAIL_TERMS, r), rho, q, k_total)
-
-
-def en_bound_jensen(params: ModelParams, ctrl: SeriesControl = SeriesControl()) -> float:
-    """Jensen upper bound 1 + sum_k q^k / (q^k + alpha/lam), over the same K terms as en_exact.
+def en_bound_jensen(params: ModelParams) -> float:
+    """Jensen upper bound 1 + sum_{k>=1} q^k / (q^k + alpha/lam).
 
     Each term is b_k/(b_k + r) with r = alpha/mu, whose power series in b_k has
-    coefficients r^{-n}.
+    coefficients r^{-n}; summed over every k by _sum_over_k.
     """
-    dp = validate(params)
+    validate(params)
     if params.lam == 0.0:
         return 1.0
-    k = _terms_needed(dp.rho, dp.q, ctrl, "en_bound_jensen")
-    return _jensen(params.alpha / params.mu, dp.rho, dp.q, k)
+    r = params.alpha / params.mu
+    return 1.0 + _sum_over_k(lambda b: b / (b + r), np.full(_TAIL_TERMS, r), params, "en_bound_jensen")[0]
 
 
-def en_exact(params: ModelParams, ctrl: SeriesControl = SeriesControl()) -> FootprintReport:
-    """Exact expected number of active updates, with bounds and truncation certificate.
+def en_exact(params: ModelParams) -> FootprintReport:
+    """Exact expected number of active updates, with both bounds and a remainder.
 
-    Sums 1 + sum_k (1 - P(E_k)) over k = 1..K, where 1 - M(1, r + 1, -b) has
-    power-series coefficients 1/(r + 1)_n; each term is at most
-    (lam/alpha) q^k, so the tail after K terms is at most (lam/mu) q^K. K is
-    the first k that drives this below ctrl.tol, and the bound is reported
-    as truncation_bound. The Jensen bound is summed over the same K terms.
+    Sums 1 + sum_{k>=1} (1 - P(E_k)) over every k by _sum_over_k, where
+    1 - M(1, r + 1, -b) has power-series coefficients 1/(r + 1)_n.
+    terms_used_k is the number of k evaluated directly (the head), and
+    truncation_bound the last kept term of the power series over the rest,
+    which bounds the dropped ones. ConvergenceError where alpha/mu overflows,
+    past _MAX_HEAD head terms, or where M is not finite.
     """
     dp = validate(params)
     simple = 1.0 + dp.rho
     if params.lam == 0.0:
         return FootprintReport(1.0, 1.0, simple, 0, 0.0)
-    k = _terms_needed(dp.rho, dp.q, ctrl, "en_exact")
     r = params.alpha / params.mu
     den = r + np.arange(1.0, _TAIL_TERMS + 1.0)
-    total = 1.0 + _sum_over_k(lambda b: 1.0 - _kummer_m(r, b), den, dp.rho, dp.q, k)
+    total, head, bound = _sum_over_k(lambda b: 1.0 - _kummer_m(r, b), den, params, "en_exact")
     if not math.isfinite(total):
         raise ConvergenceError("en_exact: M(1, r + 1, -b) not finite")
-    return FootprintReport(total, _jensen(r, dp.rho, dp.q, k), simple, k, _geometric_tail(dp.rho, dp.q, k))
+    return FootprintReport(1.0 + total, en_bound_jensen(params), simple, head, bound)
 
 
 def avg_age(params: ModelParams) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvergenceError, DomainError, ModelParams, SeriesControl
+from .core import ConvergenceError, DomainError, ModelParams
 from . import analytics
 from .simulator import ConfigError, SimConfig, simulate
 
@@ -111,8 +111,8 @@ def _grid_points(args) -> list[ModelParams]:
     return [ModelParams(a, l, m) for a in alphas for l in lams for m in mus]
 
 
-def _analytic_row(p: ModelParams, ctrl: SeriesControl) -> SweepRow:
-    rep = analytics.en_exact(p, ctrl)
+def _analytic_row(p: ModelParams) -> SweepRow:
+    rep = analytics.en_exact(p)
     return SweepRow(
         alpha=p.alpha,
         lam=p.lam,
@@ -133,18 +133,16 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_analytic(args) -> int:
-    ctrl = SeriesControl(tol=args.tol)
     points = _grid_points(args)
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")
     for p in points:
-        buf.write(_analytic_row(p, ctrl).csv() + "\n")
+        buf.write(_analytic_row(p).csv() + "\n")
     _emit(buf.getvalue(), args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    ctrl = SeriesControl(tol=args.tol)
     points = _grid_points(args)
     config_kw = dict(
         horizon_publications=args.publications,
@@ -161,7 +159,7 @@ def cmd_simulate(args) -> int:
     hist_lines: list[str] = []
     for i, p in enumerate(points):
         seed = point_seed(args.seed, i)
-        row = _analytic_row(p, ctrl)
+        row = _analytic_row(p)
         st = simulate(p, SimConfig(seed=seed, **config_kw))
         row = SweepRow(
             **{
@@ -197,7 +195,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tradeoff(args) -> int:
-    ctrl = SeriesControl(tol=args.tol)
     alphas = parse_grid(args.alpha)
     lam = float(args.lam)
     mu = float(args.mu)
@@ -205,7 +202,7 @@ def cmd_tradeoff(args) -> int:
     buf.write("alpha,avg_age,en_exact\n")
     for a in alphas:
         p = ModelParams(a, lam, mu)
-        rep = analytics.en_exact(p, ctrl)
+        rep = analytics.en_exact(p)
         buf.write(f"{a!r},{analytics.avg_age(p)!r},{rep.en_exact!r}\n")
     _emit(buf.getvalue(), args.out)
     return 0
@@ -283,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             sp.add_argument("--lambda", dest="lam", required=True, help="read arrival rate (scalar)")
             sp.add_argument("--mu", default="1", help="read service rate (scalar, default 1)")
-        sp.add_argument("--tol", type=float, default=1e-10, help="series truncation tolerance")
         sp.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
     sp = sub.add_parser("analytic", help="closed-form sweep")

@@ -42,24 +42,6 @@ class DerivedParams:
     rho: float
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the infinite sums over the update index k.
-
-    tol: absolute tail-mass tolerance for truncated series.
-    max_k: cap on the outer (update index) sum.
-    """
-
-    tol: float = 1e-10
-    max_k: int = 200_000
-
-    def __post_init__(self):
-        if not (self.tol > 0):
-            raise DomainError(f"tol must be > 0, got {self.tol}")
-        if self.max_k < 1:
-            raise DomainError(f"max_k must be >= 1, got {self.max_k}")
-
-
 def validate(params: ModelParams) -> DerivedParams:
     """Check the rate triple and return (q, rho)."""
     a, l, m = params.alpha, params.lam, params.mu

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcumem import analytics
-from rcumem.core import ConvergenceError, DomainError, ModelParams, SeriesControl
+from rcumem.core import ConvergenceError, DomainError, ModelParams
 from rcumem.analytics import (
     a_w,
     avg_age,
@@ -22,7 +22,6 @@ from rcumem.analytics import (
     p_ek_series,
 )
 
-CTRL = SeriesControl()
 rates = st.floats(min_value=0.05, max_value=50, allow_nan=False, allow_infinity=False)
 
 
@@ -135,7 +134,7 @@ class TestPEkSeries:
         with pytest.raises(ConvergenceError):
             p_ek_series(ModelParams(1, 700, 1), 1)
         with pytest.raises(ConvergenceError):
-            en_exact(ModelParams(1, 700, 1), CTRL)
+            en_exact(ModelParams(1, 700, 1))
 
     @pytest.mark.parametrize("b", [1e-9, 0.3, 5.0, 40.0, 700.0, 5e5])
     def test_r_one_closed_form(self, b):
@@ -223,20 +222,32 @@ class TestPEkQuadrature:
 
 class TestFootprint:
     def test_no_readers_exact_one(self):
-        rep = en_exact(ModelParams(1, 0, 1), CTRL)
+        rep = en_exact(ModelParams(1, 0, 1))
         assert rep.en_exact == 1.0
         assert rep.en_bound_jensen == 1.0
         assert rep.en_bound_simple == 1.0
 
     def test_fast_writer_approaches_simple_bound(self):
-        rep = en_exact(ModelParams(1000, 10, 1), CTRL)
+        rep = en_exact(ModelParams(1000, 10, 1))
         assert 10.5 < rep.en_exact < 11.0
 
-    def test_truncation_bound_below_tol(self):
-        for p in [ModelParams(1, 1, 1), ModelParams(10, 5, 2), ModelParams(0.3, 8, 1)]:
-            rep = en_exact(p, CTRL)
-            assert rep.truncation_bound <= CTRL.tol
-            assert rep.terms_used_k >= 1
+    def test_truncation_bound_negligible(self):
+        # each power-series term is at most half the one before, so 64 of them leave < 2^-63 of the tail
+        for p, head in [(ModelParams(1, 1, 1), 0), (ModelParams(10, 5, 2), 0), (ModelParams(0.3, 8, 1), 1)]:
+            rep = en_exact(p)
+            assert 0.0 <= rep.truncation_bound <= 2.0**-63 * rep.en_exact
+            assert rep.terms_used_k == head
+
+    @pytest.mark.parametrize(
+        "alpha,lam,mu,msg",
+        [(10000, 1e13, 1, "more than 200000 terms"), (1e300, 1, 1e-10, "alpha/mu overflows")],
+        ids=["head-cap", "q-rounds-to-1"],
+    )
+    def test_typed_error_where_the_sum_stops(self, alpha, lam, mu, msg):
+        # a head of 214,173 terms; alpha/mu = 1e310
+        for f in (en_exact, en_bound_jensen):
+            with pytest.raises(ConvergenceError, match=msg):
+                f(ModelParams(alpha, lam, mu))
 
     def test_jensen_unit_point_direct_summation(self):
         # independent oracle: partial sums of q^k/(q^k + 1) with q = 1/2
@@ -247,7 +258,7 @@ class TestFootprint:
             s += t
             if t < 1e-14:
                 break
-        assert en_bound_jensen(ModelParams(1, 1, 1), CTRL) == pytest.approx(s, abs=1e-9)
+        assert en_bound_jensen(ModelParams(1, 1, 1)) == pytest.approx(s, abs=1e-9)
 
     def test_simple_bound_values(self):
         assert en_bound_simple(ModelParams(1, 10, 1)) == 11.0
@@ -258,80 +269,85 @@ class TestFootprint:
     @settings(max_examples=40, deadline=None)
     def test_bound_chain(self, alpha, lam, mu):
         p = ModelParams(alpha, lam, mu)
-        rep = en_exact(p, CTRL)
+        rep = en_exact(p)
         assert 1.0 <= rep.en_exact + 1e-9
         assert rep.en_exact <= rep.en_bound_jensen + 1e-9
         assert rep.en_bound_jensen <= rep.en_bound_simple + 1e-9
 
     def test_monotone_in_lambda(self):
-        vals = [en_exact(ModelParams(2, lam, 1), CTRL).en_exact for lam in range(0, 21, 2)]
+        vals = [en_exact(ModelParams(2, lam, 1)).en_exact for lam in range(0, 21, 2)]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_monotone_in_alpha(self):
-        vals = [en_exact(ModelParams(a, 5, 1), CTRL).en_exact for a in (0.1, 0.3, 1, 3, 10, 30, 100)]
+        vals = [en_exact(ModelParams(a, 5, 1)).en_exact for a in (0.1, 0.3, 1, 3, 10, 30, 100)]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
         assert vals[-1] <= 6.0
 
 
-# (alpha, lam, loop_exact, en_bound_jensen, terms_used_k, truncation_bound) at mu = 1,
-# as computed term by term: one p_ek_series call and one Jensen term per k.
-# loop_exact came from a per-reader-count loop that dropped up to tol of
-# Poisson tail in each of the K terms, so it is only good to K * tol.
+# (alpha, lam, loop_exact, loop_terms, en_bound_jensen, terms_used_k) at mu = 1.
+# loop_exact came from a per-reader-count loop over k <= loop_terms, the first
+# k with (lam/mu) q^k < 1e-10, that dropped up to 1e-10 of Poisson tail in
+# each term, so it is only good to (loop_terms + 1) * 1e-10. en_bound_jensen
+# is _mp_jensen below, and terms_used_k the head summed term by term.
 GOLDEN = [
-    (0.5, 1, 1.3027308604568435, 1.6871501299921998, 21, 9.559906635974793e-11),
-    (0.5, 5, 2.098827100312841, 2.7355997186831797, 23, 5.311059242208218e-11),
-    (0.5, 10, 2.6411348254924722, 3.299144128206386, 24, 3.540706161472145e-11),
-    (1, 1, 1.449883108025035, 1.7644997802902365, 34, 5.820766091346741e-11),
-    (1, 5, 2.6106272722516444, 3.1763070169978915, 36, 7.275957614183426e-11),
-    (1, 10, 3.411974861622082, 4.009640350331224, 37, 7.275957614183426e-11),
-    (2, 1, 1.6063895124282987, 1.8408488249422106, 57, 9.179060531410428e-11),
-    (2, 5, 3.2500550014361367, 3.739450686218807, 61, 9.065738796454742e-11),
-    (2, 10, 4.467008296670195, 5.00704661266969, 63, 8.058434485737547e-11),
-    (100, 1, 1.985300608817079, 1.9950576333971388, 2315, 9.908768754122009e-11),
-    (100, 5, 5.833516363954689, 5.879599123798011, 2476, 9.982711461229404e-11),
-    (100, 10, 10.447089005318018, 10.533208022651467, 2546, 9.949066859050368e-11),
-    (1000, 1, 1.9985030741396455, 1.9995005825259702, 23038, 9.993624596780499e-11),
-    (1000, 5, 5.9825898558323285, 5.98754771640994, 24648, 9.996047106798842e-11),
-    (1000, 10, 10.940513108445348, 10.950355511170978, 25342, 9.990989880876817e-11),
-    (3000, 1, 1.9995003410327854, 1.999833398021958, 69090, 9.996884590625614e-11),
-    (3000, 5, 5.9941766896595325, 5.995838649872291, 73919, 9.99727911489196e-11),
-    (3000, 10, 10.980057394108835, 10.983373042941741, 75998, 9.99990529410929e-11),
+    (0.5, 1, 1.3027308604568435, 21, 1.6871501300877987, 0),
+    (0.5, 5, 2.098827100312841, 23, 2.73559971873629, 1),
+    (0.5, 10, 2.6411348254924722, 24, 3.2991441282417924, 2),
+    (1, 1, 1.449883108025035, 34, 1.7644997803484441, 0),
+    (1, 5, 2.6106272722516444, 36, 3.17630701707065, 2),
+    (1, 10, 3.411974861622082, 37, 4.009640350403984, 3),
+    (2, 1, 1.6063895124282987, 57, 1.8408488250340014, 0),
+    (2, 5, 3.2500550014361367, 61, 3.7394506863094645, 2),
+    (2, 10, 4.467008296670195, 63, 5.0070466127502735, 4),
+    (100, 1, 1.985300608817079, 2315, 1.9950576334962253, 0),
+    (100, 5, 5.833516363954689, 2476, 5.879599123897845, 0),
+    (100, 10, 10.447089005318018, 2546, 10.533208022751015, 0),
+    (1000, 1, 1.9985030741396455, 23038, 1.9995005826258587, 0),
+    (1000, 5, 5.9825898558323285, 24648, 5.98754771650967, 0),
+    (1000, 10, 10.940513108445348, 25342, 10.950355511270436, 0),
+    (3000, 1, 1.9995003410327854, 69090, 1.9998333981219243, 0),
+    (3000, 5, 5.9941766896595325, 73919, 5.995838649972375, 0),
+    (3000, 10, 10.980057394108835, 75998, 10.983373043042082, 0),
 ]
 
 
-# en_exact at the GOLDEN points: the K-term Poisson series itself,
-# 1 + sum_{k<=K} sum_j pois(j; b_k) j/(r + j) with exact q = alpha/(alpha + mu),
-# summed by _mp_series below at 30 digits and rounded to doubles
+# en_exact at the GOLDEN points: the Poisson series summed over every k,
+# 1 + sum_{k>=1} sum_j pois(j; b_k) j/(r + j) with exact q = alpha/(alpha + mu),
+# by _mp_series below at 30 digits and rounded to doubles
 MP_REFERENCE = {
-    (0.5, 1): 1.3027308606035901,
-    (0.5, 5): 2.09882710071519,
-    (0.5, 10): 2.6411348257549556,
-    (1, 1): 1.4498831082687107,
-    (1, 5): 2.6106272726445487,
-    (1, 10): 3.411974862044366,
-    (2, 1): 1.606389512842256,
-    (2, 5): 3.2500550020348467,
-    (2, 10): 4.467008297251493,
-    (100, 1): 1.9853006099015125,
-    (100, 5): 5.833516366119196,
-    (100, 10): 10.44708900835085,
-    (1000, 1): 1.998503075299397,
-    (1000, 5): 5.982589858232504,
-    (1000, 10): 10.940513111942817,
-    (3000, 1): 1.9995003421982038,
-    (3000, 5): 5.994176692086518,
-    (3000, 10): 10.980057397647379,
+    (0.5, 1): 1.3027308606354566,
+    (0.5, 5): 2.0988271007328936,
+    (0.5, 10): 2.6411348257667577,
+    (1, 1): 1.4498831082978145,
+    (1, 5): 2.6106272726809285,
+    (1, 10): 3.4119748620807457,
+    (2, 1): 1.6063895129034498,
+    (2, 5): 3.250055002095285,
+    (2, 10): 4.467008297305215,
+    (100, 1): 1.985300609999619,
+    (100, 5): 5.833516366218035,
+    (100, 10): 10.447089008449355,
+    (1000, 1): 1.9985030753992334,
+    (1000, 5): 5.982589858332364,
+    (1000, 10): 10.940513112042627,
+    (3000, 1): 1.9995003422981394,
+    (3000, 5): 5.994176692186458,
+    (3000, 10): 10.980057397747345,
 }
 
 
-def _mp_series(alpha, lam, mu, terms, dps=30):
-    """1 + sum_{k<=terms} sum_j pois(j; b_k) j/(r + j) in mpmath, each j-sum to dps digits."""
+def _mp_series(alpha, lam, mu, dps=30):
+    """1 + sum_{k>=1} sum_j pois(j; b_k) j/(r + j) in mpmath, each j-sum to dps digits.
+
+    Each k-term is at most b_k/(r + 1), so the terms after k add at most
+    rho q^{k+1}; the sum stops once that is below 10^-(dps + 2).
+    """
     with mpmath.workdps(dps + 10):
         a, l, m = mpmath.mpf(alpha), mpmath.mpf(lam), mpmath.mpf(mu)
         q, r = a / (a + m), a / m
         eps = mpmath.mpf(10) ** -(dps + 5)
         total, b = mpmath.mpf(1), l / m
-        for _ in range(terms):
+        while b * q >= mpmath.mpf(10) ** -(dps + 2):
             b *= q
             pmf, s, j = mpmath.exp(-b), mpmath.mpf(0), 0
             while True:
@@ -344,40 +360,60 @@ def _mp_series(alpha, lam, mu, terms, dps=30):
         return float(total)
 
 
+def _mp_jensen(alpha, lam, mu, dps=30):
+    """1 + sum_{k>=1} b_k/(b_k + r) in mpmath; the terms after k add at most rho q^{k+1} (r + 1)/r."""
+    with mpmath.workdps(dps + 10):
+        a, l, m = mpmath.mpf(alpha), mpmath.mpf(lam), mpmath.mpf(mu)
+        q, r = a / (a + m), a / m
+        total, b = mpmath.mpf(1), l / m
+        while b * q * (r + 1) / r >= mpmath.mpf(10) ** -(dps + 2):
+            b *= q
+            total += b / (b + r)
+        return float(total)
+
+
 class TestArraySeries:
-    @pytest.mark.parametrize("alpha,lam,loop_exact,jensen,terms,bound", GOLDEN)
-    def test_matches_term_by_term_loop(self, alpha, lam, loop_exact, jensen, terms, bound):
-        rep = en_exact(ModelParams(alpha, lam, 1.0), CTRL)
+    @pytest.mark.parametrize("alpha,lam,loop_exact,loop_terms,jensen,head", GOLDEN)
+    def test_matches_term_by_term_loop(self, alpha, lam, loop_exact, loop_terms, jensen, head):
+        rep = en_exact(ModelParams(alpha, lam, 1.0))
         assert rep.en_exact == pytest.approx(MP_REFERENCE[alpha, lam], rel=1e-12, abs=0)
-        assert abs(rep.en_exact - loop_exact) <= terms * CTRL.tol
+        assert abs(rep.en_exact - loop_exact) <= (loop_terms + 1) * 1e-10
         assert rep.en_bound_jensen == pytest.approx(jensen, rel=1e-12, abs=0)
-        assert rep.terms_used_k == terms
-        assert rep.truncation_bound == bound
+        assert rep.terms_used_k == head
 
     @pytest.mark.parametrize("alpha,lam", [(g[0], g[1]) for g in GOLDEN if g[0] <= 2])
     def test_matches_mpmath_poisson_series(self, alpha, lam):
-        rep = en_exact(ModelParams(alpha, lam, 1.0), CTRL)
-        ref = _mp_series(alpha, lam, 1.0, rep.terms_used_k)
+        rep = en_exact(ModelParams(alpha, lam, 1.0))
+        ref = _mp_series(alpha, lam, 1.0)
         assert ref == MP_REFERENCE[alpha, lam]
         assert rep.en_exact == pytest.approx(ref, rel=1e-12, abs=0)
+        assert _mp_jensen(alpha, lam, 1.0) == next(g[4] for g in GOLDEN if g[:2] == (alpha, lam))
 
     @pytest.mark.parametrize("alpha,lam", [(g[0], g[1]) for g in GOLDEN])
     def test_truncation_bound_covers_the_error(self, alpha, lam):
-        p = ModelParams(alpha, lam, 1.0)
-        rep = en_exact(p, CTRL)
-        fine = en_exact(p, SeriesControl(tol=1e-13))
-        assert abs(rep.en_exact - fine.en_exact) <= rep.truncation_bound + 1e-12
+        # the remainder plus a few roundings per term of the 64-term series
+        rep = en_exact(ModelParams(alpha, lam, 1.0))
+        ref = MP_REFERENCE[alpha, lam]
+        assert abs(rep.en_exact - ref) <= rep.truncation_bound + 1e-14 * ref
 
     def test_p_ek_series_is_one_entry_of_the_sum(self):
         p = ModelParams(2, 5, 1)
-        rep = en_exact(p, CTRL)
-        total = 1.0 + sum(1.0 - p_ek_series(p, k) for k in range(1, rep.terms_used_k + 1))
+        rep = en_exact(p)
+        # b_k = 5 (2/3)^k is below 1e-300 from k = 1708 on
+        total = 1.0 + sum(1.0 - p_ek_series(p, k) for k in range(1, 1710))
         assert rep.en_exact == pytest.approx(total, rel=1e-13)
 
     def test_hyp1f1_nan_point_keeps_bound_chain(self):
         # found by a log-uniform scan: scipy's hyp1f1 is NaN at b_1 = 8.3e10 (r = 44.05)
-        rep = en_exact(ModelParams(9.888827617754983e-05, 185894.87763320244, 2.245138917244896e-06), CTRL)
+        rep = en_exact(ModelParams(9.888827617754983e-05, 185894.87763320244, 2.245138917244896e-06))
         assert math.isfinite(rep.en_exact)
+        assert 1.0 <= rep.en_exact <= rep.en_bound_jensen <= rep.en_bound_simple
+
+    def test_large_r_sums_past_the_old_k_cap(self):
+        # r = 1.6e10: rho q^k stays above 1e-10 for about 4e11 k, all in the power
+        # series; ln q taken as math.log(q) would put the Jensen bound 1.2e-5 above 1 + rho
+        rep = en_exact(ModelParams(364600.2628770869, 0.0003965354503036356, 2.3102337442754877e-05))
+        assert math.isfinite(rep.en_exact) and math.isfinite(rep.en_bound_jensen)
         assert 1.0 <= rep.en_exact <= rep.en_bound_jensen <= rep.en_bound_simple
 
     @given(
@@ -389,8 +425,10 @@ class TestArraySeries:
     def test_wide_range_finite_or_typed_error(self, alpha, lam, mu):
         p = ModelParams(alpha, lam, mu)
         try:
-            rep = en_exact(p, CTRL)
-        except (ConvergenceError, DomainError):
+            rep = en_exact(p)
+        except ConvergenceError as e:
+            # only the head cap, or alpha/mu overflowing, may stop the sum
+            assert "terms above the power-series cut" in str(e) or "alpha/mu overflows" in str(e)
             return
         assert math.isfinite(rep.en_exact) and math.isfinite(rep.en_bound_jensen)
         assert 1.0 <= rep.en_exact + 1e-9

@@ -10,7 +10,6 @@ from rcumem.core import (
     DomainError,
     ModelParams,
     RandomSource,
-    SeriesControl,
     b_k,
     validate,
 )
@@ -76,16 +75,6 @@ class TestBk:
         p = ModelParams(alpha, lam, mu)
         q = validate(p).q
         assert b_k(p, k + 1) == pytest.approx(q * b_k(p, k), rel=1e-12)
-
-
-class TestSeriesControl:
-    def test_defaults_valid(self):
-        SeriesControl()
-
-    @pytest.mark.parametrize("kw", [{"tol": 0}, {"tol": -1e-3}, {"max_k": 0}])
-    def test_invalid(self, kw):
-        with pytest.raises(DomainError):
-            SeriesControl(**kw)
 
 
 class TestRandomSource:
