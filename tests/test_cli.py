@@ -185,6 +185,16 @@ class TestTradeoff:
         assert en == pytest.approx(11.0, abs=0.1)
 
 
+class TestNoTruncationOption:
+    # the footprint series is summed over every k, so no subcommand takes a tolerance
+    @pytest.mark.parametrize("command", ["analytic", "simulate", "tradeoff"])
+    def test_tol_is_rejected(self, capsys, command):
+        code, out, err = run(capsys, command, "--alpha", "1", "--lambda", "1", "--tol", "1e-10")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --tol" in err
+
+
 class TestValidateCommand:
     def test_reduced_run_reports_checks(self, capsys):
         # small sample count keeps this fast; the command must emit one
