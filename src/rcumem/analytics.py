@@ -143,15 +143,18 @@ def en_bound_simple(params: ModelParams) -> float:
 
 # power-series terms kept in the k-tail: each is at most half the one before
 _TAIL_TERMS = 64
-# cap on the k summed directly: a 190,000-term head at r >= 10 peaks at 242 MiB
+# cap on the k summed directly
 _MAX_HEAD = 200_000
+# head terms per call of f: _kummer_m at r >= 10 holds several (block, 40) arrays at once
+_HEAD_BLOCK = 4096
 
 
 def _sum_over_k(f, den: np.ndarray, params: ModelParams, name: str) -> tuple[float, int, float]:
     """sum_{k>=1} f(b_k), b_k = rho q^k, where f(b) = -sum_{n>=1} prod_{i<=n} (-b/den[i-1]).
 
     Returns (sum, head, remainder). The head, the k with b_k above den[0]/2,
-    is evaluated directly with f, as one array. In the rest the series ratio
+    is evaluated directly with f, _HEAD_BLOCK terms per call, into one array
+    that is summed once. In the rest the series ratio
     stays at or below 1/2, so the two sums are swapped:
     sum_{i>=0} q^{n i} = -1/expm1(n ln q) leaves one power series in the
     first tail b, cut after _TAIL_TERMS terms; the remainder bounds what the
@@ -169,7 +172,11 @@ def _sum_over_k(f, den: np.ndarray, params: ModelParams, name: str) -> tuple[flo
     if not x <= _MAX_HEAD + 1:
         raise ConvergenceError(f"{name}: more than {_MAX_HEAD} terms above the power-series cut")
     head = max(0, math.ceil(x) - 1)
-    total = float(f(rho * np.exp(np.arange(1.0, head + 1.0) * lnq)).sum())
+    head_terms = np.empty(head)
+    for lo in range(0, head, _HEAD_BLOCK):
+        k = np.arange(lo + 1.0, min(lo + _HEAD_BLOCK, head) + 1.0)
+        head_terms[lo:lo + k.size] = f(rho * np.exp(k * lnq))
+    total = float(head_terms.sum())
     n = np.arange(1.0, _TAIL_TERMS + 1.0)
     terms = np.cumprod(-rho * math.exp((head + 1) * lnq) / den) / np.expm1(n * lnq)
     return total + float(terms.sum()), head, abs(float(terms[-1]))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -248,6 +249,18 @@ class TestFootprint:
         for f in (en_exact, en_bound_jensen):
             with pytest.raises(ConvergenceError, match=msg):
                 f(ModelParams(alpha, lam, mu))
+
+    def test_long_head_memory_is_bounded(self):
+        # 189,999 head terms at r = 300: whole, _kummer_m's (head, 40) arrays peaked at 242 MiB
+        tracemalloc.start()
+        try:
+            rep = en_exact(ModelParams(300, 5.93e276, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+        assert rep.terms_used_k == 189_999
+        assert rep.en_exact == pytest.approx(189792.53738068024, rel=1e-15, abs=0)
 
     def test_jensen_unit_point_direct_summation(self):
         # independent oracle: partial sums of q^k/(q^k + 1) with q = 1/2

@@ -1,10 +1,13 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
+from scipy.special import gammaincc
 
 from rcumem.core import ConvergenceError, DomainError, ModelParams
 from rcumem.analytics import lemma1_epsilon, p_ek_series
+from rcumem import validation
 from rcumem.validation import (
     appendix_identity_checks,
     en_joint_quadrature,
@@ -13,6 +16,10 @@ from rcumem.validation import (
     gamma_l_pdf,
     i1_closed,
     i1_numeric,
+    i3_closed,
+    i3_numeric,
+    i4_closed,
+    i4_numeric,
     lemma1_cells,
     lemma1_numeric,
     mc_lemma1,
@@ -247,6 +254,107 @@ class TestAppendixIdentities:
         # f_Y cancelled at mu w = 1e-3, which cost the integral ~1e-14
         closed = lemma1_epsilon(ModelParams(alpha, 1.0, mu), k, 1e-3)
         assert abs(lemma1_numeric(alpha, mu, k, 1e-3) - closed) <= 1e-15
+
+
+class TestOracleDomain:
+    # every comparison with NaN is false, so a `w <= 0` check lets it through
+    @pytest.mark.parametrize(
+        "mu,w,y", [(1.0, math.nan, 0.5), (math.nan, 1.0, 0.5), (1.0, 1.0, math.nan), (np.array([1.0, math.nan]), 1.0, 0.5)]
+    )
+    def test_fy_density_rejects_nan(self, mu, w, y):
+        with pytest.raises(DomainError):
+            fy_density(mu, w, y)
+
+    @pytest.mark.parametrize(
+        "alpha,k,l", [(math.nan, 1, 1.0), (1.0, 1, math.nan), (1.0, math.nan, 1.0), (1.0, 1, np.array([0.5, -0.5]))]
+    )
+    def test_gamma_l_pdf_rejects_nan(self, alpha, k, l):
+        with pytest.raises(DomainError):
+            gamma_l_pdf(alpha, k, l)
+
+    @pytest.mark.parametrize(
+        "f,args",
+        [
+            (i1_numeric, (1.0, 0.0)),
+            (i3_numeric, (1.0, math.nan, 1, 1.0)),
+            (i4_numeric, (1.0, 1.0, 1, 0.0)),
+            (i4_numeric, (1.0, 1.0, 1.5, 1.0)),
+            (lemma1_numeric, (0.0, 1.0, 1, 1.0)),
+            (lemma1_numeric, (1.0, 1.0, 0, 1.0)),
+            (fy_normalization, (np.array([1.0, -1.0]), 1.0)),
+        ],
+    )
+    def test_numerics_reject_bad_arguments(self, f, args):
+        with pytest.raises(DomainError):
+            f(*args)
+
+
+# 300 log-uniform (alpha, mu, k, w) points, far wider than the `validate` grid
+_WIDE = np.random.default_rng(2026)
+WIDE_ALPHA = 10.0 ** _WIDE.uniform(-2, 2, 300)
+WIDE_MU = 10.0 ** _WIDE.uniform(-2, 2, 300)
+WIDE_K = _WIDE.integers(1, 51, 300)
+WIDE_W = 10.0 ** _WIDE.uniform(-3, 1.5, 300)
+WIDE = list(zip(WIDE_ALPHA.tolist(), WIDE_MU.tolist(), WIDE_K.tolist(), WIDE_W.tolist()))
+
+
+class TestAppendixRule:
+    def test_default_grid_within_1e13(self):
+        for name, numeric, closed, err in appendix_identity_checks():
+            assert err <= 1e-13, f"{name}: numeric={numeric} closed={closed} err={err}"
+
+    def test_gamma_mass_far_from_zero(self):
+        # Gamma(50, 0.01) puts its mass near l = 5000, where quad on [0, inf) never looked
+        assert i3_numeric(0.01, 0.01, 50, 0.5) == pytest.approx(-200.0, rel=1e-12, abs=0)
+        assert i3_closed(0.01, 0.01, 50, 0.5) == pytest.approx(-200.0, rel=1e-15, abs=0)
+        assert i4_numeric(0.01, 0.01, 50, 0.5) == pytest.approx(i4_closed(0.01, 0.01, 50, 0.5), rel=1e-12, abs=0)
+
+    def test_closed_form_does_not_cancel(self):
+        # (alpha/(alpha+mu))^k - 1 lost 6e-11 of its value to cancellation at mu/alpha = 1e-6
+        assert i3_closed(1.0, 1e-6, 1, 1.0) == pytest.approx(-1.0 / (1.0 + 1e-6), rel=1e-15, abs=0)
+
+    def test_wide_range(self):
+        n3 = i3_numeric(WIDE_ALPHA, WIDE_MU, WIDE_K, WIDE_W)
+        n4 = i4_numeric(WIDE_ALPHA, WIDE_MU, WIDE_K, WIDE_W)
+        n1 = i1_numeric(WIDE_MU, WIDE_W)
+        nl = lemma1_numeric(WIDE_ALPHA, WIDE_MU, WIDE_K, WIDE_W)
+        nn = fy_normalization(WIDE_MU, WIDE_W)
+        for i, (alpha, mu, k, w) in enumerate(WIDE):
+            c3, c4 = i3_closed(alpha, mu, k, w), i4_closed(alpha, mu, k, w)
+            assert abs(n3[i] - c3) <= 1e-12 * abs(c3), (alpha, mu, k, w)
+            # below the smallest normal double (e^{-mu w} near e^{-740}) relative error means nothing
+            assert abs(n4[i] - c4) <= 1e-12 * abs(c4) + np.finfo(float).tiny, (alpha, mu, k, w)
+            assert abs(n1[i] - i1_closed(mu, w)) <= 1e-13, (mu, w)
+            assert abs(nl[i] - lemma1_epsilon(ModelParams(alpha, 1.0, mu), k, w)) <= 1e-13, (alpha, mu, k, w)
+            assert abs(nn[i] - 1.0) <= 1e-13, (mu, w)
+
+    @pytest.mark.parametrize(
+        "f,cols",
+        [(i1_numeric, (1, 3)), (i3_numeric, (0, 1, 2, 3)), (i4_numeric, (0, 1, 2, 3)),
+         (lemma1_numeric, (0, 1, 2, 3)), (fy_normalization, (1, 3))],
+    )
+    def test_array_call_is_elementwise(self, f, cols):
+        points = WIDE[:60]
+        args = [np.array([p[c] for p in points]).reshape(6, 10) for c in cols]
+        got = f(*args)
+        assert got.shape == (6, 10)
+        scalar = [f(*(p[c] for c in cols)) for p in points]
+        assert all(type(v) is float for v in scalar)
+        assert got.ravel().tolist() == scalar
+
+    def test_density_array_call_is_elementwise(self):
+        # y on both sides of zero and below -w
+        mu, w, alpha, k = WIDE_MU[:60], WIDE_W[:60], WIDE_ALPHA[:60], WIDE_K[:60]
+        y = w * np.tile([-2.0, -1.0, -0.5, 0.0, 0.5, 3.0], 10)
+        assert fy_density(mu, w, y).tolist() == [fy_density(*p) for p in zip(mu.tolist(), w.tolist(), y.tolist())]
+        l = np.abs(y)
+        assert gamma_l_pdf(alpha, k, l).tolist() == [gamma_l_pdf(*p) for p in zip(alpha.tolist(), k.tolist(), l.tolist())]
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 50, 1000, 10**6])
+    def test_gamma_end_drops_below_1e17(self, k):
+        end = float(validation._gamma_end(k))
+        assert end == 2.0 ** round(math.log2(end))
+        assert gammaincc(k, end) < 1e-17
 
 
 class TestEnJointQuadrature:
