@@ -8,6 +8,7 @@ same deterministic random-source contract defined here.
 """
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 from dataclasses import dataclass
@@ -79,6 +80,12 @@ class RandomSource:
     made. Poisson variates are numpy's own (Generator.poisson), so for one
     seed they are fixed for a given numpy install.
 
+    Each uniform or exponential variate consumes one 64-bit draw of the
+    stream and each gamma_int variate consumes `shape` draws, so `split` can
+    hand out the segments that later calls would reach. Poisson consumes a
+    count that depends on the values drawn: a split must never cross a
+    Poisson draw.
+
     Instances are single-owner: never share one across threads.
     """
 
@@ -87,6 +94,26 @@ class RandomSource:
         self.stream = stream
         key = int.from_bytes(hashlib.sha256(stream.encode("utf-8")).digest()[:8], "little")
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([self.seed, key])))
+
+    def split(self, *counts: int) -> list[RandomSource]:
+        """Sources at the starts of consecutive segments of `counts` draws; self moves past them all.
+
+        Each is a copy of the PCG64 state advanced to its segment (PCG64.advance,
+        O(log n)), so drawing a segment's variates from its source, in blocks
+        of any sizes, gives the values the same calls on self would have given.
+        """
+        for n in counts:
+            if n < 0 or n != int(n):
+                raise DomainError(f"split counts must be integers >= 0, got {n!r}")
+        bits = self._gen.bit_generator
+        parts = []
+        for n in counts:
+            part = object.__new__(RandomSource)
+            part.seed, part.stream = self.seed, self.stream
+            part._gen = np.random.Generator(copy.deepcopy(bits))
+            parts.append(part)
+            bits.advance(int(n))
+        return parts
 
     def uniform(self, size: int | None = None):
         """Uniform(0,1) doubles."""

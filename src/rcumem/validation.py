@@ -74,6 +74,10 @@ def gamma_l_pdf(alpha, k, l):
     return _float_or_array(alpha * np.exp(xlogy(k - 1.0, x) - x - gammaln(k)))
 
 
+# samples (lemma1_cells) or readers (mc_p_ek) per block: each block's passes stay in cache
+_BLOCK = 1 << 14
+
+
 def lemma1_cells(
     k: int, cells: list[tuple[ModelParams, float]], samples: int, seed: int
 ) -> list[McEstimate]:
@@ -81,10 +85,11 @@ def lemma1_cells(
 
     U ~ uniform(-w, 0), X ~ exponential(mu), L ~ Gamma(k, alpha), all
     independent. The unit-rate uniforms, exponentials and Gamma(k, 1)
-    variates are drawn once on the "lemma1" stream and scaled once per
-    distinct w, mu and alpha; dividing by a rate is exact, so each cell's
-    hits equal a draw made at that cell's own rates. The target closed form
-    is lemma1_epsilon.
+    variates are drawn once on the "lemma1" stream, _BLOCK samples at a
+    time from three split sources, and scaled per block once per distinct
+    (w, mu) pair and alpha; dividing by a rate is exact, so each cell's hits
+    equal a draw made at that cell's own rates, and memory does not grow
+    with `samples`. The target closed form is lemma1_epsilon.
     """
     if samples < 10_000:
         raise DomainError(f"samples must be >= 1e4, got {samples}")
@@ -92,20 +97,28 @@ def lemma1_cells(
         raise DomainError("need k >= 1 and w > 0")
     for params, _ in cells:
         validate(params)
-    rs = RandomSource(seed, "lemma1")
-    unit_u = rs.uniform(samples)
-    unit_x = rs.exponential(1.0, samples)
-    unit_l = rs.gamma_int(k, 1.0, samples)
-    neg_u = {w: -w * unit_u for w in {w for _, w in cells}}
-    x = {mu: unit_x / mu for mu in {p.mu for p, _ in cells}}
-    l = {alpha: unit_l / alpha for alpha in {p.alpha for p, _ in cells}}
+    u_src, x_src, l_src = RandomSource(seed, "lemma1").split(samples, samples, k * samples)
+    pairs = {(w, p.mu) for p, w in cells}
+    alphas = {p.alpha for p, _ in cells}
+    hits = dict.fromkeys(((w, p.mu, p.alpha) for p, w in cells), 0)
+    for done in range(0, samples, _BLOCK):
+        n = min(_BLOCK, samples - done)
+        unit_u = u_src.uniform(n)
+        unit_x = x_src.exponential(1.0, n)
+        unit_l = l_src.gamma_int(k, 1.0, n)
+        l = {alpha: unit_l / alpha for alpha in alphas}
+        for w, mu in pairs:
+            y = -w * unit_u + unit_x / mu
+            for alpha in alphas:
+                if (w, mu, alpha) in hits:
+                    hits[w, mu, alpha] += int(np.count_nonzero(y <= l[alpha]))
     out = []
     for params, w in cells:
-        hits = int(np.count_nonzero(neg_u[w] + x[params.mu] <= l[params.alpha]))
+        h = hits[w, params.mu, params.alpha]
         # Agresti-Coull: the plug-in se collapses to ~0 when all but a few samples agree
-        p_ac = (hits + 2) / (samples + 4)
+        p_ac = (h + 2) / (samples + 4)
         se = math.sqrt(p_ac * (1.0 - p_ac) / (samples + 4))
-        out.append(McEstimate(hits / samples, se, samples))
+        out.append(McEstimate(h / samples, se, samples))
     return out
 
 
@@ -114,7 +127,10 @@ def mc_lemma1(params: ModelParams, k: int, w: float, samples: int, seed: int) ->
     return lemma1_cells(k, [(params, w)], samples, seed)[0]
 
 
-# w, m, L, U and E interleave on the one "p_ek" stream per chunk: another size re-draws every estimate
+# w, m and L for a chunk of samples, then its readers' U and E, come in turn
+# from the one "p_ek" stream, so the chunk size fixes every draw: another size
+# re-draws every estimate. The _BLOCK-reader blocks inside a chunk do not:
+# they read U and E from sources split at their segment starts.
 _P_EK_CHUNK = 100_000
 
 
@@ -125,7 +141,8 @@ def mc_p_ek(params: ModelParams, k: int, samples: int, seed: int) -> McEstimate:
     currency window; m ~ Poisson(lam*w) readers land uniformly in it with
     exponential(mu) holds; the elapsed time L ~ Gamma(k, alpha) is shared
     by all of them. Success iff the latest reader release is by L
-    (vacuous for m = 0), so only one maximum per sample is kept.
+    (vacuous for m = 0), so only one maximum per sample is kept, and the
+    readers are drawn in sample-aligned blocks of about _BLOCK.
     """
     if samples < 10_000:
         raise DomainError(f"samples must be >= 1e4, got {samples}")
@@ -133,21 +150,31 @@ def mc_p_ek(params: ModelParams, k: int, samples: int, seed: int) -> McEstimate:
         raise DomainError(f"k must be >= 1, got {k}")
     validate(params)
     rs = RandomSource(seed, "p_ek")
-    good = 0
+    bad = 0
     for done in range(0, samples, _P_EK_CHUNK):
         n = min(_P_EK_CHUNK, samples - done)
         w = rs.exponential(params.alpha, n)
         m = rs.poisson(params.lam * w) if params.lam > 0 else np.zeros(n, dtype=np.int64)
         l = rs.gamma_int(k, params.alpha, n)
-        total = int(m.sum())
-        # release y = E - U*w per reader, in place; bit-identical to -w*U + E
-        y = rs.uniform(total)
-        y *= np.repeat(w, m)
-        np.subtract(rs.exponential(params.mu, total), y, out=y)
-        busy = m > 0
-        latest = np.maximum.reduceat(y, (np.cumsum(m) - m)[busy])
-        good += n - int(np.count_nonzero(latest > l[busy]))
-    est = good / samples
+        ends = np.cumsum(m)
+        total = int(ends[-1])
+        u_src, e_src = rs.split(total, total)
+        # block j ends at the first sample whose readers reach (j + 1) * _BLOCK
+        cuts = np.searchsorted(ends, np.arange(_BLOCK, total, _BLOCK), side="left") + 1
+        for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), n]):
+            if a >= b:
+                continue
+            first = int(ends[a - 1]) if a else 0
+            count = int(ends[b - 1]) - first
+            mb = m[a:b]
+            # release y = E - U*w per reader, in place; bit-identical to -w*U + E
+            y = u_src.uniform(count)
+            y *= np.repeat(w[a:b], mb)
+            np.subtract(e_src.exponential(params.mu, count), y, out=y)
+            busy = mb > 0
+            latest = np.maximum.reduceat(y, (ends[a:b] - mb - first)[busy])
+            bad += int(np.count_nonzero(latest > l[a:b][busy]))
+    est = (samples - bad) / samples
     se = math.sqrt(est * (1.0 - est) / samples)
     return McEstimate(est, se, samples)
 
@@ -175,9 +202,18 @@ def p_ek_joint_quadrature(params: ModelParams, k: int) -> float:
     hi = mean_l + 14.0 * sd_l
     tail_mass = 1.0 - (gammainc_reg(k, alpha * hi) - gammainc_reg(k, alpha * lo))
 
+    # the Gamma(k, alpha) density in scalar math: quad calls it once per node
+    log_norm = math.log(alpha) - math.lgamma(k)
+
+    def density(l: float) -> float:
+        x = alpha * l
+        if x == 0.0:
+            return alpha if k == 1 else 0.0
+        return math.exp(log_norm + (k - 1) * math.log(x) - x)
+
     def inner(w: float) -> float:
         c = (lam / mu) * (-math.expm1(-mu * w))
-        f = lambda l: gamma_l_pdf(alpha, k, l) * math.exp(-c * math.exp(-mu * l))
+        f = lambda l: density(l) * math.exp(-c * math.exp(-mu * l))
         v = quad(f, lo, hi, epsabs=1e-11, epsrel=1e-11, limit=200)[0]
         # survivors outside the window contribute between 0 and the tail mass
         return v + tail_mass * math.exp(-c * math.exp(-mu * hi))
@@ -218,8 +254,10 @@ def _dyadic_legendre(nodes: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
 # the end, holds about that panel's share of the integral: I3 at k = 1 stays
 # within 3e-13 relative for mu/alpha from 1e-7 to 1e16. The Gamma(k, 1) peak,
 # sqrt(k) wide, falls in a panel about k wide: within 1e-13 relative to
-# k = 50 and 4e-12 at k = 100, losing digits beyond.
+# k = 50 and 4e-12 at k = 100, losing digits beyond (8e-5 at k = 1000), so
+# the numerics that integrate against it take k <= _MAX_RULE_K alone.
 _X, _W = _dyadic_legendre(16, 41)
+_MAX_RULE_K = 50
 
 
 def _integral(f, end) -> np.ndarray:
@@ -241,6 +279,13 @@ def _gamma_end(k) -> np.ndarray:
     """
     k = _shape(k)
     return np.exp2(np.ceil(np.log2(2.0 * k + 40.0 * np.sqrt(k) + 100.0)))
+
+
+def _rule_shape(k) -> np.ndarray:
+    """_shape(k), with DomainError past _MAX_RULE_K, where the rule loses the Gamma(k, 1) peak."""
+    k = _shape(k)
+    _require(k <= _MAX_RULE_K, f"k must be <= {_MAX_RULE_K} for the composite rule", k)
+    return k
 
 
 def _positive(**rates) -> list[np.ndarray]:
@@ -275,9 +320,9 @@ def i3_closed(alpha: float, mu: float, k: int, w: float) -> float:
 
 
 def i3_numeric(alpha, mu, k, w):
-    """I3 = int_0^inf f_L(l) (e^{-mu l} - 1) dl / (mu w), over t = alpha l."""
+    """I3 = int_0^inf f_L(l) (e^{-mu l} - 1) dl / (mu w), over t = alpha l; k <= _MAX_RULE_K."""
     alpha, mu, w = _positive(alpha=alpha, mu=mu, w=w)
-    c, kc = (mu / alpha)[..., None], _shape(k)[..., None]
+    c, kc = (mu / alpha)[..., None], _rule_shape(k)[..., None]
     v = _integral(lambda t: gamma_l_pdf(1.0, kc, t) * np.expm1(-c * t), _gamma_end(k))
     return _float_or_array(v / (mu * w))
 
@@ -288,9 +333,9 @@ def i4_closed(alpha: float, mu: float, k: int, w: float) -> float:
 
 
 def i4_numeric(alpha, mu, k, w):
-    """I4 = int_0^inf f_L(l) (e^{-mu (w + l)} - e^{-mu w}) dl / (mu w), over t = alpha l."""
+    """I4 = int_0^inf f_L(l) (e^{-mu (w + l)} - e^{-mu w}) dl / (mu w), over t = alpha l; k <= _MAX_RULE_K."""
     alpha, mu, w = _positive(alpha=alpha, mu=mu, w=w)
-    c, e, kc = (mu / alpha)[..., None], np.exp(-mu * w)[..., None], _shape(k)[..., None]
+    c, e, kc = (mu / alpha)[..., None], np.exp(-mu * w)[..., None], _rule_shape(k)[..., None]
     v = _integral(lambda t: gamma_l_pdf(1.0, kc, t) * (e * np.expm1(-c * t)), _gamma_end(k))
     return _float_or_array(v / (mu * w))
 
@@ -303,12 +348,12 @@ def lemma1_numeric(alpha, mu, k, w):
     The second integral is taken over t = (alpha + mu) y, the decay rate of
     f_Y Q; past T = _gamma_end(k) it drops at most P(X > y, L > y) =
     e^{-mu y} Q(k, alpha y) <= Q(k, T). End-to-end recomputation of the
-    appendix result 1 - a_w q^k.
+    appendix result 1 - a_w q^k. Takes k <= _MAX_RULE_K.
     """
     alpha, mu, w = _positive(alpha=alpha, mu=mu, w=w)
     s = alpha + mu
     sc, pc, muc, wc = (a[..., None] for a in (s, alpha / s, mu, w))
-    kc = _shape(k)[..., None]
+    kc = _rule_shape(k)[..., None]
     pos = _integral(lambda t: fy_density(muc, wc, t / sc) * gammaincc(kc, pc * t), _gamma_end(k)) / s
     return _float_or_array(i1_numeric(mu, w) + pos)
 

@@ -146,6 +146,48 @@ class TestRandomSource:
             tracemalloc.stop()
         assert peak <= 9 * 2**20
 
+    @pytest.mark.parametrize(
+        "draw,per_variate",
+        [
+            (lambda rs, n: rs.uniform(n), 1),
+            (lambda rs, n: rs.exponential(2.0, n), 1),
+            (lambda rs, n: rs.gamma_int(1, 2.0, n), 1),
+            (lambda rs, n: rs.gamma_int(5, 0.5, n), 5),
+        ],
+        ids=["uniform", "exponential", "gamma_int-1", "gamma_int-5"],
+    )
+    def test_split_blocks_equal_one_shot_draws(self, draw, per_variate):
+        sizes = (0, 1, 999, 4096, 17, 30_000)
+        whole = draw(RandomSource(7, "s"), 3 * sum(sizes))
+        parts = RandomSource(7, "s").split(*(per_variate * sum(sizes),) * 3)
+        got = [draw(part, n) for part in parts for n in sizes]
+        assert np.array_equal(np.concatenate(got), whole)
+
+    def test_split_moves_self_past_the_segments(self):
+        one_shot = RandomSource(11, "s")
+        one_shot.uniform(10)
+        one_shot.gamma_int(3, 1.0, 20)
+        expected = one_shot.exponential(1.0, 50)
+        rs = RandomSource(11, "s")
+        rs.split(10, 0, 60)
+        assert np.array_equal(rs.exponential(1.0, 50), expected)
+
+    def test_split_zero_count(self):
+        rs = RandomSource(3, "s")
+        empty, first = rs.split(0, 5)
+        assert empty.uniform(0).size == 0
+        # an empty segment starts where the next one does
+        assert np.array_equal(empty.uniform(5), first.uniform(5))
+        assert np.array_equal(rs.uniform(5), RandomSource(3, "s").uniform(10)[5:])
+
+    @pytest.mark.parametrize("counts", [(-1,), (4, -2), (2.5,)])
+    def test_split_rejects_bad_counts(self, counts):
+        rs = RandomSource(3, "s")
+        with pytest.raises(DomainError):
+            rs.split(*counts)
+        # nothing was consumed
+        assert np.array_equal(rs.uniform(5), RandomSource(3, "s").uniform(5))
+
     def test_invalid_args(self):
         rs = RandomSource(1)
         with pytest.raises(DomainError):
