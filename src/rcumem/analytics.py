@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvergenceError, DomainError, ModelParams, b_k, validate
+from .core import ConvergenceError, DomainError, ModelParams, _float_or_array, b_k, validate
 
 
 @dataclass(frozen=True)
@@ -99,40 +99,59 @@ def _kummer_m(r: float, b):
     return m
 
 
-def p_ek_series(params: ModelParams, k: int) -> float:
+def p_ek_series(params: ModelParams, k):
     """P(E_k) by the Poisson-weighted series sum_j pois(j; b_k) * r/(r + j), r = alpha/mu.
 
     By Kummer's transformation (DLMF 13.2.39) the series is M(1, r + 1, -b_k),
-    evaluated by _kummer_m. ConvergenceError where that is not finite.
+    evaluated by _kummer_m in one array pass over k. k is an int (a float
+    comes back) or an integer ndarray (an array of its shape comes back).
+    ConvergenceError where M is not finite.
     """
-    b = b_k(params, k)
-    p = float(_kummer_m(params.alpha / params.mu, b))
-    if not math.isfinite(p):
-        raise ConvergenceError(f"p_ek_series: M(1, r + 1, -b) not finite at b_k={b}")
-    return p
+    b = np.asarray(b_k(params, k), dtype=float)
+    p = _kummer_m(params.alpha / params.mu, b)
+    bad = ~np.isfinite(p)
+    if bad.any():
+        raise ConvergenceError(f"p_ek_series: M(1, r + 1, -b) not finite at b_k={b[bad].flat[0]}")
+    return _float_or_array(p)
 
 
-def p_ek_quadrature(params: ModelParams, k: int) -> float:
+# Gauss-Legendre rules on [-1, 1] (DLMF 3.5(v)): p_ek_quadrature's value and its embedded check
+_GL32 = np.polynomial.legendre.leggauss(32)
+_GL16 = np.polynomial.legendre.leggauss(16)
+
+
+def p_ek_quadrature(params: ModelParams, k):
     """P(E_k) by the integral form alpha * int_0^inf e^{-b_k(1-e^{-mu w})} e^{-alpha w} dw.
 
     With t = alpha w this is int_0^inf exp(b_k expm1(-t/r) - t) dt, r = alpha/mu,
-    taken by one scipy quad call on [0, 40]; the rest is below e^{-40}. The
-    integrand is at most e^{-t}, so it cannot overflow, and it falls on the
-    scales 1, r and r/b_k. quad starts from breakpoints at the smallest of
-    these times powers of 10, so no scale hides between its first nodes.
-    ConvergenceError where quad's error estimate exceeds 1e-9.
+    taken on [0, 40]; the rest is below e^{-40}. The integrand is at most
+    e^{-t}, so it cannot overflow, and it falls on the scales 1, r and
+    r/b_k. A fixed composite Gauss-Legendre rule resolves each: a first
+    panel [0, c] with c = min(1, r/max(1, max_k b_k)), then panels growing by
+    a factor of 4 up to 40, with 32 nodes each. The 16-node rule on the same
+    panels gives the error estimate, the sum over panels of |G32 - G16|.
+    k is an int (a float comes back) or an integer ndarray (an array of its
+    shape, from one pass on one panel set). ConvergenceError where an
+    estimate exceeds 1e-9, or where b_k or r leaves no first panel.
     """
-    from scipy.integrate import quad  # scipy.integrate is slow to import; keep it off `import rcumem.cli`
-
-    b = b_k(params, k)
+    b = np.asarray(b_k(params, k), dtype=float)
     r = params.alpha / params.mu
-    c = min(1.0, r / max(1.0, b))
-    points = [c * 10.0**i for i in range(math.ceil(math.log10(40.0 / c)))]
-    f = lambda t: math.exp(b * math.expm1(-t / r) - t)
-    v, err = quad(f, 0.0, 40.0, points=points, epsabs=1e-13, epsrel=1e-13, limit=200)
-    if not err <= 1e-9:
-        raise ConvergenceError(f"p_ek_quadrature: error estimate {err:.2e} at b_k={b}")
-    return v
+    c = min(1.0, r / max(1.0, float(np.max(b, initial=0.0))))
+    if not c > 0.0:
+        raise ConvergenceError(f"p_ek_quadrature: no first panel at r={r}, b_k={np.max(b)}")
+    top = c * 4.0 ** np.arange(math.ceil((math.log(40.0) - math.log(c)) / math.log(4.0)))
+    edges = np.concatenate(([0.0], top[top < 40.0], [40.0]))
+    half = np.diff(edges) / 2.0
+    x = np.concatenate((_GL32[0], _GL16[0]))
+    t = edges[:-1, None] + half[:, None] * (x + 1.0)  # (panels, 48)
+    f = np.exp(b[..., None, None] * np.expm1(-t / r) - t)
+    n = _GL32[0].size
+    g32 = (f[..., :n] @ _GL32[1]) * half
+    err = np.abs(g32 - (f[..., n:] @ _GL16[1]) * half).sum(axis=-1)
+    bad = ~(err <= 1e-9)
+    if bad.any():
+        raise ConvergenceError(f"p_ek_quadrature: error estimate {err[bad].flat[0]:.2e} at b_k={b[bad].flat[0]}")
+    return _float_or_array(g32.sum(axis=-1))
 
 
 def en_bound_simple(params: ModelParams) -> float:

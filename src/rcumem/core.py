@@ -58,12 +58,25 @@ def validate(params: ModelParams) -> DerivedParams:
     return DerivedParams(q=a / (a + m), rho=l / m)
 
 
-def b_k(params: ModelParams, k: int) -> float:
-    """lam * q^k / mu: mean residual-reader count parameter for the k-th stale update."""
-    if k < 1:
+def _float_or_array(a: np.ndarray):
+    """A 0-d result as a float, any other as the array."""
+    return float(a) if a.ndim == 0 else a
+
+
+def b_k(params: ModelParams, k):
+    """lam * q^k / mu: mean residual-reader count parameter for the k-th stale update.
+
+    k is an int or an integer ndarray; b_k has its shape.
+    """
+    if not np.all(np.asarray(k) >= 1):
         raise DomainError(f"k must be >= 1, got {k}")
     dp = validate(params)
     return params.lam * dp.q**k / params.mu
+
+
+def _check_rate(rate: float) -> None:
+    if not 0 < rate < math.inf:  # NaN fails too
+        raise DomainError(f"rate must be finite and > 0, got {rate}")
 
 
 class RandomSource:
@@ -103,7 +116,7 @@ class RandomSource:
         of any sizes, gives the values the same calls on self would have given.
         """
         for n in counts:
-            if n < 0 or n != int(n):
+            if not (0 <= n < math.inf and n == int(n)):
                 raise DomainError(f"split counts must be integers >= 0, got {n!r}")
         bits = self._gen.bit_generator
         parts = []
@@ -121,8 +134,7 @@ class RandomSource:
 
     def exponential(self, rate: float, size: int | None = None):
         """Exponential(rate) via inverse transform -log(1-U)/rate."""
-        if rate <= 0:
-            raise DomainError(f"rate must be > 0, got {rate}")
+        _check_rate(rate)
         u = self._gen.random(1 if size is None else size)
         np.log1p(np.negative(u, out=u), out=u)
         u /= -rate
@@ -130,10 +142,9 @@ class RandomSource:
 
     def gamma_int(self, shape: int, rate: float, size: int | None = None):
         """Gamma(integer shape, rate) as a sum of `shape` exponentials."""
-        if shape < 1 or shape != int(shape):
+        if not (1 <= shape < math.inf and shape == int(shape)):
             raise DomainError(f"shape must be a positive integer, got {shape}")
-        if rate <= 0:
-            raise DomainError(f"rate must be > 0, got {rate}")
+        _check_rate(rate)
         n = 1 if size is None else int(size)
         u = self._gen.random((n, int(shape)))
         np.log1p(np.negative(u, out=u), out=u)

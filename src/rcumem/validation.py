@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammainc as gammainc_reg, gammaincc, gammaln, xlogy
 
-from .core import ConvergenceError, DomainError, ModelParams, RandomSource, validate
+from .core import ConvergenceError, DomainError, ModelParams, RandomSource, _float_or_array, validate
 from .analytics import lemma1_epsilon
 
 
@@ -30,10 +30,6 @@ def _require(ok: np.ndarray, what: str, value) -> None:
     """DomainError unless ok holds at every element; NaN fails every comparison."""
     if not ok.all():
         raise DomainError(f"{what}, got {value}")
-
-
-def _float_or_array(a: np.ndarray):
-    return float(a) if a.ndim == 0 else a
 
 
 def _shape(k) -> np.ndarray:

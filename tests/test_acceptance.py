@@ -232,12 +232,14 @@ class TestCliImport:
         assert child.stdout.strip() == ""
 
     def test_no_scipy_on_analytic_simulate_or_tradeoff(self):
-        # only validate and p_ek_quadrature use scipy, and they import it when called;
-        # the grids reach every regime of the Kummer function (r below and above 10,
-        # b below and above 150)
+        # only validate uses scipy, and it imports it when called; the grids reach
+        # every regime of the Kummer function (r below and above 10, b below and
+        # above 150), and so do the p_ek_series and p_ek_quadrature calls
         code = "\n".join(
             [
-                "import contextlib, io, sys, rcumem.cli",
+                "import contextlib, io, sys, numpy as np, rcumem.cli",
+                "from rcumem import analytics",
+                "from rcumem.core import ModelParams",
                 "for argv in (",
                 "    ['analytic', '--alpha', '0.01:1000:9:log', '--lambda', '0,1,1000', '--mu', '1'],",
                 "    ['simulate', '--alpha', '1', '--lambda', '2', '--publications', '1000', '--batches', '10'],",
@@ -245,6 +247,9 @@ class TestCliImport:
                 "):",
                 "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
                 "        assert rcumem.cli.main(argv) == 0, argv",
+                "for p in (ModelParams(0.5, 10, 1), ModelParams(2, 500, 1), ModelParams(50, 1, 1), ModelParams(50, 1e4, 1)):",
+                "    for k in (1, np.arange(1, 21)):",
+                "        analytics.p_ek_series(p, k), analytics.p_ek_quadrature(p, k)",
                 "print(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
             ]
         )

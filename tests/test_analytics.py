@@ -5,7 +5,6 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -216,9 +215,50 @@ class TestPEkQuadrature:
         assert q == pytest.approx(p_ek_series(p, k), abs=1e-8)
 
     def test_large_error_estimate_is_convergence_error(self, monkeypatch):
-        monkeypatch.setattr(scipy.integrate, "quad", lambda f, a, b, **kw: (0.5, 1.0))
-        with pytest.raises(ConvergenceError):
+        # a 2-node check rule misses e^{-t} on [0, 1] by ~1e-4, so |G32 - G2| is far above 1e-9
+        monkeypatch.setattr(analytics, "_GL16", np.polynomial.legendre.leggauss(2))
+        with pytest.raises(ConvergenceError, match="error estimate"):
             p_ek_quadrature(ModelParams(1, 1, 1), 1)
+        with pytest.raises(ConvergenceError, match="error estimate"):
+            p_ek_quadrature(ModelParams(1, 1, 1), np.arange(1, 4))
+
+    def test_infinite_b_is_convergence_error(self):
+        # lam/mu overflows, so b_k is infinite and the scale r/b_k is 0
+        with pytest.raises(ConvergenceError):
+            p_ek_quadrature(ModelParams(1.0, 1e300, 1e-10), 1)
+
+
+class TestArrayK:
+    @pytest.mark.parametrize("alpha,lam,mu", [(0.5, 10.0, 1.0), (1.0, 1.0, 1.0), (100.0, 5.0, 1.0), (0.1, 200.0, 0.1)])
+    @pytest.mark.parametrize("f", [p_ek_series, p_ek_quadrature])
+    def test_array_call_equals_scalar_calls(self, f, alpha, lam, mu):
+        # the array call sizes its series or panels by the largest b_k, so entries may move by an ulp or two
+        p = ModelParams(alpha, lam, mu)
+        ks = np.arange(1, 21)
+        got = f(p, ks)
+        assert got.shape == ks.shape
+        for k, v in zip(ks.tolist(), got.tolist()):
+            scalar = f(p, k)
+            assert isinstance(scalar, float)
+            assert v == pytest.approx(scalar, rel=0.0, abs=1e-15)
+
+    def test_array_shape_is_k_shape(self):
+        p = ModelParams(2.0, 5.0, 1.0)
+        ks = np.array([[1, 2], [5, 20]])
+        for f in (p_ek_series, p_ek_quadrature):
+            assert f(p, ks).shape == (2, 2)
+            assert f(p, np.arange(1, 1)).shape == (0,)
+
+    @given(
+        alpha=st.floats(-6, 6).map(lambda e: 10.0**e),
+        lam=st.floats(-6, 6).map(lambda e: 10.0**e),
+        mu=st.floats(-6, 6).map(lambda e: 10.0**e),
+        k=st.integers(1, 50),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_quadrature_matches_series_log_uniform(self, alpha, lam, mu, k):
+        p = ModelParams(alpha, lam, mu)
+        assert p_ek_quadrature(p, k) == pytest.approx(p_ek_series(p, k), rel=0.0, abs=1e-12)
 
 
 class TestFootprint:

@@ -69,6 +69,17 @@ class TestBk:
         with pytest.raises(DomainError):
             b_k(ModelParams(1, 1, 1), 0)
 
+    def test_array_k(self):
+        p = ModelParams(2, 3, 1)
+        ks = np.arange(1, 11)
+        got = b_k(p, ks)
+        assert got.shape == ks.shape
+        assert got[0] == b_k(p, 1)
+        assert got.tolist() == pytest.approx([b_k(p, k) for k in range(1, 11)], rel=1e-15, abs=0.0)
+        for bad in (np.array([3, 0]), math.nan):
+            with pytest.raises(DomainError):
+                b_k(p, bad)
+
     @given(alpha=rates, lam=rates, mu=rates, k=st.integers(min_value=1, max_value=50))
     @settings(max_examples=50)
     def test_geometric_recursion(self, alpha, lam, mu, k):
@@ -185,6 +196,26 @@ class TestRandomSource:
         rs = RandomSource(3, "s")
         with pytest.raises(DomainError):
             rs.split(*counts)
+        # nothing was consumed
+        assert np.array_equal(rs.uniform(5), RandomSource(3, "s").uniform(5))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rs, x: rs.exponential(x, 3),
+            lambda rs, x: rs.exponential(x),
+            lambda rs, x: rs.gamma_int(2, x, 2),
+            lambda rs, x: rs.gamma_int(x, 1.0),
+            lambda rs, x: rs.gamma_int(x, 1.0, 4),
+            lambda rs, x: rs.split(x),
+            lambda rs, x: rs.split(3, x),
+        ],
+    )
+    def test_non_finite_args_are_domain_errors(self, call, bad):
+        rs = RandomSource(3, "s")
+        with pytest.raises(DomainError):
+            call(rs, bad)
         # nothing was consumed
         assert np.array_equal(rs.uniform(5), RandomSource(3, "s").uniform(5))
 
