@@ -29,9 +29,9 @@ class FootprintReport:
 
 def a_w(mu: float, w: float) -> float:
     """(1 - e^{-mu w}) / (mu w), the mean-lock-overlap factor; 1 at w = 0."""
-    if mu <= 0:
+    if not mu > 0:  # NaN fails too
         raise DomainError(f"mu must be > 0, got {mu}")
-    if w < 0:
+    if not w >= 0:
         raise DomainError(f"w must be >= 0, got {w}")
     x = mu * w
     if x == 0.0:
@@ -41,9 +41,9 @@ def a_w(mu: float, w: float) -> float:
 
 def lemma1_epsilon(params: ModelParams, k: int, w: float) -> float:
     """P(a read opened during a length-w window finishes in time): 1 - a_w q^k."""
-    if k < 1:
+    if not k >= 1:  # NaN fails too
         raise DomainError(f"k must be >= 1, got {k}")
-    if w <= 0:
+    if not w > 0:
         raise DomainError(f"w must be > 0, got {w}")
     dp = validate(params)
     return 1.0 - a_w(params.mu, w) * dp.q**k
@@ -51,9 +51,9 @@ def lemma1_epsilon(params: ModelParams, k: int, w: float) -> float:
 
 def p_ek_given_w(params: ModelParams, k: int, w: float) -> float:
     """P(grace period of update k over | preceding write took w): exp(-b_k (1 - e^{-mu w}))."""
-    if k < 1:
+    if not k >= 1:  # NaN fails too
         raise DomainError(f"k must be >= 1, got {k}")
-    if w < 0:
+    if not w >= 0:
         raise DomainError(f"w must be >= 0, got {w}")
     b = b_k(params, k)
     return math.exp(b * math.expm1(-params.mu * w))
@@ -105,9 +105,11 @@ def p_ek_series(params: ModelParams, k):
     By Kummer's transformation (DLMF 13.2.39) the series is M(1, r + 1, -b_k),
     evaluated by _kummer_m in one array pass over k. k is an int (a float
     comes back) or an integer ndarray (an array of its shape comes back).
-    ConvergenceError where M is not finite.
+    ConvergenceError where b_k or M is not finite.
     """
     b = np.asarray(b_k(params, k), dtype=float)
+    if not np.isfinite(b).all():  # _kummer_m would take inf * 0
+        raise ConvergenceError(f"p_ek_series: b_k not finite at lam/mu={params.lam / params.mu}")
     p = _kummer_m(params.alpha / params.mu, b)
     bad = ~np.isfinite(p)
     if bad.any():

@@ -66,12 +66,14 @@ def _float_or_array(a: np.ndarray):
 def b_k(params: ModelParams, k):
     """lam * q^k / mu: mean residual-reader count parameter for the k-th stale update.
 
-    k is an int or an integer ndarray; b_k has its shape.
+    k is an int or an integer ndarray; b_k has its shape. Where lam/mu
+    overflows, b_k is inf, as Python's float division gives for an int k.
     """
     if not np.all(np.asarray(k) >= 1):
         raise DomainError(f"k must be >= 1, got {k}")
     dp = validate(params)
-    return params.lam * dp.q**k / params.mu
+    with np.errstate(over="ignore"):
+        return params.lam * dp.q**k / params.mu
 
 
 def _check_rate(rate: float) -> None:

@@ -337,16 +337,3 @@ def estimate_age_from_polygons(write_times: Sequence[float]) -> float:
         raise DomainError("write intervals must be nonnegative")
     q = 0.5 * w[:-1] ** 2 + w[:-1] * w[1:]
     return float(q.sum() / w[1:].sum())
-
-
-def sawtooth_area(write_times: Sequence[float]) -> float:
-    """Event-loop accounting of the same sawtooth area, for cross-checking.
-
-    Integrates the age over (t_1, t_N) directly: on each interval the age
-    ramps from W_{n-1} to W_{n-1}+W_n. Equals the polygon sum minus the
-    boundary terms W_1^2/2 - W_N^2/2.
-    """
-    w = np.asarray(write_times, dtype=float)
-    if len(w) < 2:
-        raise DomainError("need at least 2 write intervals")
-    return float((w[:-1] * w[1:] + 0.5 * w[1:] ** 2).sum())

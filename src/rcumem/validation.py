@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammainc as gammainc_reg, gammaincc, gammaln, xlogy
 
 from .core import ConvergenceError, DomainError, ModelParams, RandomSource, _float_or_array, validate
 from .analytics import lemma1_epsilon
@@ -57,17 +55,27 @@ def fy_density(mu, w, y):
     return _float_or_array(np.exp(-mu * np.maximum(y, 0.0)) * rise / w)
 
 
+def _log_gamma(k: float) -> float:
+    """ln Gamma(k) for k >= 1; math.gamma is exact at the integers to 23, where math.lgamma is not (lgamma(3) != ln 2)."""
+    return math.log(math.gamma(k)) if k < 171.0 else math.lgamma(k)
+
+
 def gamma_l_pdf(alpha, k, l):
     """Gamma(shape k, rate alpha) density: the elapsed time past k writes.
 
-    Computed in log space so large k stays finite. Broadcasts over arrays;
-    a scalar call returns a float.
+    Computed in log space so large k stays finite, with ln Gamma(k) taken
+    once per element of k. Broadcasts over arrays; a scalar call returns a
+    float.
     """
     alpha, k, l = np.asarray(alpha, dtype=float), _shape(k), np.asarray(l, dtype=float)
     _require(alpha > 0, "alpha must be > 0", alpha)
     _require(l >= 0, "l must be >= 0", l)
     x = alpha * l
-    return _float_or_array(alpha * np.exp(xlogy(k - 1.0, x) - x - gammaln(k)))
+    log_gamma_k = np.vectorize(_log_gamma, otypes=[float])(k)
+    # (k - 1) ln x, which is 0 at k = 1 and -inf at x = 0 otherwise
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power = np.where(k == 1.0, 0.0, (k - 1.0) * np.log(x))
+    return _float_or_array(alpha * np.exp(power - x - log_gamma_k))
 
 
 # samples (lemma1_cells) or readers (mc_p_ek) per block: each block's passes stay in cache
@@ -175,64 +183,6 @@ def mc_p_ek(params: ModelParams, k: int, samples: int, seed: int) -> McEstimate:
     return McEstimate(est, se, samples)
 
 
-def p_ek_joint_quadrature(params: ModelParams, k: int) -> float:
-    """P(update k's grace period ended) keeping the shared elapsed time intact.
-
-    Integrates E_L[exp(-(lam/mu)(1 - e^{-mu w}) e^{-mu L})] over the write
-    time w, where L ~ Gamma(k, alpha) is common to all residual readers of
-    the update. Differs from the series form, which averages each reader's
-    deadline independently and thereby overstates survival.
-    """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    validate(params)
-    alpha, lam, mu = params.alpha, params.lam, params.mu
-    if lam == 0:
-        return 1.0
-
-    # integrate the Gamma(k, alpha) weight over a window wide enough to hold
-    # all but ~1e-12 of its mass; the integrand is bounded by 1 outside
-    mean_l = k / alpha
-    sd_l = math.sqrt(k) / alpha
-    lo = max(0.0, mean_l - 12.0 * sd_l)
-    hi = mean_l + 14.0 * sd_l
-    tail_mass = 1.0 - (gammainc_reg(k, alpha * hi) - gammainc_reg(k, alpha * lo))
-
-    # the Gamma(k, alpha) density in scalar math: quad calls it once per node
-    log_norm = math.log(alpha) - math.lgamma(k)
-
-    def density(l: float) -> float:
-        x = alpha * l
-        if x == 0.0:
-            return alpha if k == 1 else 0.0
-        return math.exp(log_norm + (k - 1) * math.log(x) - x)
-
-    def inner(w: float) -> float:
-        c = (lam / mu) * (-math.expm1(-mu * w))
-        f = lambda l: density(l) * math.exp(-c * math.exp(-mu * l))
-        v = quad(f, lo, hi, epsabs=1e-11, epsrel=1e-11, limit=200)[0]
-        # survivors outside the window contribute between 0 and the tail mass
-        return v + tail_mass * math.exp(-c * math.exp(-mu * hi))
-
-    # substitute v = e^{-alpha w} so the exponential weight becomes uniform
-    outer = lambda v: inner(-math.log(v) / alpha)
-    return quad(outer, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)[0]
-
-
-def en_joint_quadrature(params: ModelParams, tol: float = 1e-7, max_k: int = 2000) -> float:
-    """Expected active updates via the shared-elapsed-time survival probabilities."""
-    dp = validate(params)
-    total = 1.0
-    k = 0
-    while True:
-        k += 1
-        if k > max_k:
-            raise ConvergenceError("en_joint_quadrature: max_k reached; use a larger tol")
-        total += 1.0 - p_ek_joint_quadrature(params, k)
-        if dp.rho * dp.q**k < tol:
-            return total
-
-
 def _dyadic_legendre(nodes: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule on [0, 1] (DLMF 3.5(v)).
 
@@ -282,6 +232,37 @@ def _rule_shape(k) -> np.ndarray:
     k = _shape(k)
     _require(k <= _MAX_RULE_K, f"k must be <= {_MAX_RULE_K} for the composite rule", k)
     return k
+
+
+# 32 nodes on each of 61 panels, for both variables of p_ek_joint_quadrature:
+# the (16, 41) rule is 2e-7 off at (alpha, lam, mu) = (7.08e-5, 3.82e5, 7.34e-5), k = 36
+_JOINT = _dyadic_legendre(32, 61)
+
+
+def p_ek_joint_quadrature(params: ModelParams, k: int) -> float:
+    """P(update k's grace period ended) keeping the shared elapsed time intact.
+
+    Integrates E_L[exp(-(lam/mu)(1 - e^{-mu w}) e^{-mu L})] over the write
+    time w ~ exponential(alpha), where L ~ Gamma(k, alpha) is common to all
+    residual readers of the update. Differs from the series form, which
+    averages each reader's deadline independently and thereby overstates
+    survival. Over t = alpha w on [0, 64] (the rest is below e^-64) and
+    s = alpha L on [0, _gamma_end(k)], as one tensor product of the _JOINT
+    rule. Takes k <= _MAX_RULE_K; ConvergenceError where lam/mu overflows.
+    """
+    k = float(_rule_shape(k))
+    validate(params)
+    m, rho = params.mu / params.alpha, params.lam / params.mu
+    if math.isinf(rho):
+        raise ConvergenceError("p_ek_joint_quadrature: lam/mu overflows")
+    x, wt = _JOINT
+    t, end = 64.0 * x, float(_gamma_end(k))
+    s = end * x
+    # exp(-rho (1 - e^{-m t}) e^{-m s}), one row per t node, exponentiated in place
+    f = np.multiply.outer(rho * np.expm1(-m * t), np.exp(-m * s))
+    np.exp(f, out=f)
+    inner = f @ (gamma_l_pdf(1.0, k, s) * wt) * end
+    return float(np.exp(-t) * wt @ inner * 64.0)
 
 
 def _positive(**rates) -> list[np.ndarray]:
@@ -336,11 +317,22 @@ def i4_numeric(alpha, mu, k, w):
     return _float_or_array(v / (mu * w))
 
 
+def _gamma_q(k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Q(k, x) = sum_{j<k} e^{-x} x^j / j! for integer k >= 1 and x >= 0 (DLMF 8.4.10), each term in log space."""
+    with np.errstate(divide="ignore"):  # x underflows to 0 when alpha << mu; ln 0 = -inf drops the j >= 1 terms
+        log_x = np.log(x)
+    q = np.exp(-x) + np.zeros_like(k)
+    for j in range(1, int(k.max())):
+        q += np.where(j < k, np.exp(j * log_x - x - _log_gamma(j + 1.0)), 0.0)
+    return q
+
+
 def lemma1_numeric(alpha, mu, k, w):
     """P(Y <= L) as one integral of fy_density against the deadline's survival.
 
     By Fubini, P(Y <= L) = int_{-w}^0 f_Y + int_0^inf f_Y(y) P(L > y) dy with
-    P(L > y) = Q(k, alpha y), the regularized upper incomplete gamma function.
+    P(L > y) = Q(k, alpha y), the regularized upper incomplete gamma function
+    (_gamma_q).
     The second integral is taken over t = (alpha + mu) y, the decay rate of
     f_Y Q; past T = _gamma_end(k) it drops at most P(X > y, L > y) =
     e^{-mu y} Q(k, alpha y) <= Q(k, T). End-to-end recomputation of the
@@ -350,7 +342,7 @@ def lemma1_numeric(alpha, mu, k, w):
     s = alpha + mu
     sc, pc, muc, wc = (a[..., None] for a in (s, alpha / s, mu, w))
     kc = _rule_shape(k)[..., None]
-    pos = _integral(lambda t: fy_density(muc, wc, t / sc) * gammaincc(kc, pc * t), _gamma_end(k)) / s
+    pos = _integral(lambda t: fy_density(muc, wc, t / sc) * _gamma_q(kc, pc * t), _gamma_end(k)) / s
     return _float_or_array(i1_numeric(mu, w) + pos)
 
 

@@ -232,9 +232,9 @@ class TestCliImport:
         assert child.stdout.strip() == ""
 
     def test_no_scipy_on_analytic_simulate_or_tradeoff(self):
-        # only validate uses scipy, and it imports it when called; the grids reach
-        # every regime of the Kummer function (r below and above 10, b below and
-        # above 150), and so do the p_ek_series and p_ek_quadrature calls
+        # the grids reach every regime of the Kummer function (r below and above
+        # 10, b below and above 150), and so do the p_ek_series and
+        # p_ek_quadrature calls
         code = "\n".join(
             [
                 "import contextlib, io, sys, numpy as np, rcumem.cli",
@@ -250,6 +250,24 @@ class TestCliImport:
                 "for p in (ModelParams(0.5, 10, 1), ModelParams(2, 500, 1), ModelParams(50, 1, 1), ModelParams(50, 1e4, 1)):",
                 "    for k in (1, np.arange(1, 21)):",
                 "        analytics.p_ek_series(p, k), analytics.p_ek_quadrature(p, k)",
+                "print(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+            ]
+        )
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == ""
+
+    def test_no_scipy_on_validate(self):
+        # every oracle in rcumem.validation runs on numpy's Gauss-Legendre nodes,
+        # the joint quadrature too, though validate does not call it
+        code = "\n".join(
+            [
+                "import contextlib, io, sys, rcumem.cli",
+                "from rcumem import validation",
+                "from rcumem.core import ModelParams",
+                "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+                "    assert rcumem.cli.main(['validate', '--samples', '10000']) in (0, 1)",
+                "validation.p_ek_joint_quadrature(ModelParams(1, 1, 1), 1)",
                 "print(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
             ]
         )

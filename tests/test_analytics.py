@@ -98,9 +98,33 @@ class TestPEkGivenW:
             assert math.exp(-b1) <= p_ek_given_w(p, 1, w) <= 1.0
 
 
+class TestNanArguments:
+    # every comparison with NaN is false, so a `w < 0` check lets it through
+    @pytest.mark.parametrize(
+        "f,args",
+        [
+            (lemma1_epsilon, (ModelParams(1, 1, 1), math.nan, 1.0)),
+            (lemma1_epsilon, (ModelParams(1, 1, 1), 1, math.nan)),
+            (p_ek_given_w, (ModelParams(1, 1, 1), 1, math.nan)),
+            (a_w, (math.nan, 1.0)),
+            (a_w, (1.0, math.nan)),
+        ],
+    )
+    def test_nan_is_domain_error(self, f, args):
+        with pytest.raises(DomainError):
+            f(*args)
+
+
 class TestPEkSeries:
     def test_no_readers(self):
         assert p_ek_series(ModelParams(1, 0, 1), 1) == 1.0
+
+    # lam/mu overflows, so b_k is infinite; _kummer_m would take inf * 0 and warn first
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [1, np.arange(1, 4)], ids=["scalar", "array"])
+    def test_infinite_b_is_convergence_error(self, k):
+        with pytest.raises(ConvergenceError):
+            p_ek_series(ModelParams(1.0, 1e300, 1e-10), k)
 
     def test_matches_quadrature_unit(self):
         p = ModelParams(1, 1, 1)
@@ -226,6 +250,12 @@ class TestPEkQuadrature:
         # lam/mu overflows, so b_k is infinite and the scale r/b_k is 0
         with pytest.raises(ConvergenceError):
             p_ek_quadrature(ModelParams(1.0, 1e300, 1e-10), 1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_b_array_k_is_convergence_error(self):
+        # b_k's array overflow in lam q^k / mu warned before the typed error
+        with pytest.raises(ConvergenceError):
+            p_ek_quadrature(ModelParams(1.0, 1e300, 1e-10), np.arange(1, 4))
 
 
 class TestArrayK:

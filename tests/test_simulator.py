@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from rcumem import simulator
@@ -11,10 +12,22 @@ from rcumem.simulator import (
     ConfigError,
     SimConfig,
     estimate_age_from_polygons,
-    sawtooth_area,
     simulate,
     simulate_n_distribution,
 )
+
+
+def sawtooth_area(write_times) -> float:
+    """Direct accounting of the sawtooth area estimate_age_from_polygons sums, for cross-checking.
+
+    Integrates the age over (t_1, t_N) directly: on each interval the age
+    ramps from W_{n-1} to W_{n-1}+W_n. Equals the polygon sum minus the
+    boundary terms W_1^2/2 - W_N^2/2.
+    """
+    w = np.asarray(write_times, dtype=float)
+    if len(w) < 2:
+        raise DomainError("need at least 2 write intervals")
+    return float((w[:-1] * w[1:] + 0.5 * w[1:] ** 2).sum())
 
 
 class TestSimConfig:

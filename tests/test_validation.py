@@ -10,7 +10,6 @@ from rcumem.analytics import lemma1_epsilon, p_ek_series
 from rcumem import validation
 from rcumem.validation import (
     appendix_identity_checks,
-    en_joint_quadrature,
     fy_density,
     fy_normalization,
     gamma_l_pdf,
@@ -232,6 +231,38 @@ class TestMcPEk:
     def test_joint_quadrature_pins(self, params, k, reference):
         assert abs(p_ek_joint_quadrature(params, k) - reference) <= 1e-12
 
+    # nested scipy quad over the full ranges at 1e-14; a Gamma window of mean - 12 sd to
+    # mean + 14 sd dropped e^-15 of the k = 1 mass and was 2.6e-9 and 2.9e-9 off here
+    @pytest.mark.parametrize(
+        "params,k,reference",
+        [
+            (ModelParams(1.031468244956408, 0.5580436989019288, 0.06501466729799223), 1, 0.6723105727261913),
+            (ModelParams(4.655562650882352, 27.22824249867597, 0.22345497230465172), 1, 0.15316278316421167),
+        ],
+    )
+    def test_joint_quadrature_keeps_the_gamma_tail(self, params, k, reference):
+        assert abs(p_ek_joint_quadrature(params, k) - reference) <= 1e-12
+
+    def test_joint_rule_matches_a_48_node_rule(self, monkeypatch):
+        rng = np.random.default_rng(2026)
+        points = [
+            (ModelParams(*(10.0 ** rng.uniform(-3, 3, 3)).tolist()), int(rng.integers(1, 51)))
+            for _ in range(12)
+        ]
+        got = [p_ek_joint_quadrature(params, k) for params, k in points]
+        monkeypatch.setattr(validation, "_JOINT", validation._dyadic_legendre(48, 61))
+        for (params, k), v in zip(points, got):
+            assert abs(v - p_ek_joint_quadrature(params, k)) <= 1e-9, (params, k)
+
+    @pytest.mark.parametrize("k", [0, 1.5, 51])
+    def test_joint_quadrature_rejects_shapes_off_the_rule(self, k):
+        with pytest.raises(DomainError):
+            p_ek_joint_quadrature(ModelParams(1, 1, 1), k)
+
+    def test_joint_quadrature_overflowing_load_is_convergence_error(self):
+        with pytest.raises(ConvergenceError):
+            p_ek_joint_quadrature(ModelParams(1e-300, 1e300, 1e-10), 1)
+
     def test_bracket_of_series_form(self):
         # the series form averages each reader's deadline independently,
         # which overstates survival whenever several readers share an update;
@@ -264,7 +295,9 @@ class TestAppendixIdentities:
 
     @pytest.mark.parametrize(
         "alpha,mu,k,w",
-        [(1.0, 1.0, 1, 1e-3), (0.5, 0.5, 20, 1e-3), (1.0, 1.0, 20, 1.0), (10.0, 1.0, 1, 1.0), (10.0, 2.0, 20, 1e-3)],
+        [(1.0, 1.0, 1, 1e-3), (0.5, 0.5, 20, 1e-3), (1.0, 1.0, 20, 1.0), (10.0, 1.0, 1, 1.0), (10.0, 2.0, 20, 1e-3),
+         # alpha y underflows to 0 at the first nodes, where Q(k, 0) = 1
+         (1e-300, 1.0, 3, 1.0)],
     )
     def test_lemma1_numeric_edge_points(self, alpha, mu, k, w):
         closed = lemma1_epsilon(ModelParams(alpha, 1.0, mu), k, w)
@@ -386,9 +419,3 @@ class TestAppendixRule:
         end = float(validation._gamma_end(k))
         assert end == 2.0 ** round(math.log2(end))
         assert gammaincc(k, end) < 1e-17
-
-
-class TestEnJointQuadrature:
-    def test_running_out_of_terms_is_convergence_error(self):
-        with pytest.raises(ConvergenceError):
-            en_joint_quadrature(ModelParams(1, 10, 1), max_k=1)
