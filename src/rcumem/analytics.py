@@ -134,19 +134,24 @@ def p_ek_quadrature(params: ModelParams, k):
     panels gives the error estimate, the sum over panels of |G32 - G16|.
     k is an int (a float comes back) or an integer ndarray (an array of its
     shape, from one pass on one panel set). ConvergenceError where an
-    estimate exceeds 1e-9, or where b_k or r leaves no first panel.
+    estimate exceeds 1e-9, where b_k is not finite, or where r leaves no
+    first panel.
     """
     b = np.asarray(b_k(params, k), dtype=float)
+    if not np.isfinite(b).all():  # with r infinite too, b_k expm1(-t/r) would be inf * 0
+        raise ConvergenceError(f"p_ek_quadrature: b_k not finite at lam/mu={params.lam / params.mu}")
     r = params.alpha / params.mu
     c = min(1.0, r / max(1.0, float(np.max(b, initial=0.0))))
     if not c > 0.0:
         raise ConvergenceError(f"p_ek_quadrature: no first panel at r={r}, b_k={np.max(b)}")
-    top = c * 4.0 ** np.arange(math.ceil((math.log(40.0) - math.log(c)) / math.log(4.0)))
+    # c * 4^i, exactly, with no overflow of 4^i where c is tiny
+    top = np.ldexp(c, 2 * np.arange(math.ceil((math.log(40.0) - math.log(c)) / math.log(4.0))))
     edges = np.concatenate(([0.0], top[top < 40.0], [40.0]))
     half = np.diff(edges) / 2.0
     x = np.concatenate((_GL32[0], _GL16[0]))
     t = edges[:-1, None] + half[:, None] * (x + 1.0)  # (panels, 48)
-    f = np.exp(b[..., None, None] * np.expm1(-t / r) - t)
+    with np.errstate(over="ignore"):  # t/r past the float range is inf, where expm1 takes its limit -1
+        f = np.exp(b[..., None, None] * np.expm1(-t / r) - t)
     n = _GL32[0].size
     g32 = (f[..., :n] @ _GL32[1]) * half
     err = np.abs(g32 - (f[..., n:] @ _GL16[1]) * half).sum(axis=-1)
@@ -179,14 +184,18 @@ def _sum_over_k(f, den: np.ndarray, params: ModelParams, name: str) -> tuple[flo
     stays at or below 1/2, so the two sums are swapped:
     sum_{i>=0} q^{n i} = -1/expm1(n ln q) leaves one power series in the
     first tail b, cut after _TAIL_TERMS terms; the remainder bounds what the
-    cut drops. ConvergenceError where alpha/mu overflows (q rounds to 1), or
-    past _MAX_HEAD head terms.
+    cut drops. ConvergenceError where alpha/mu overflows (q rounds to 1) or
+    underflows (q rounds to 0, and den[0] may be 0), or past _MAX_HEAD head
+    terms.
     """
     rho = params.lam / params.mu
     if rho == 0.0:
         return 0.0, 0, 0.0  # every b_k rounds to 0, where f vanishes
-    if math.isinf(params.alpha / params.mu):
+    r = params.alpha / params.mu
+    if math.isinf(r):
         raise ConvergenceError(f"{name}: alpha/mu overflows, so q rounds to 1")
+    if r == 0.0:
+        raise ConvergenceError(f"{name}: alpha/mu underflows, so q rounds to 0")
     lnq = -math.log1p(params.mu / params.alpha)  # math.log(q) would carry q's rounding, 1e-16 r relative
     # b_k is above the cut for k < x
     x = (math.log(den[0]) - math.log(2.0) - math.log(rho)) / lnq

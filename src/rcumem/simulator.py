@@ -163,6 +163,12 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
     the sample path does not depend on how the run is cut into slabs. At
     equal times a publication comes before a read arrival, and a read
     arrival before a completion.
+
+    Only a copy with a late reader outlives its replacement, so only those
+    carry a grace end into the footprint and into the next slab. The age
+    area of each batch is one pairwise sum over its sawtooth windows
+    (np.add.reduceat at the slab's batch boundaries), and the running
+    total adds those few sums.
     """
     validate(params)
     alpha, lam, mu = params.alpha, params.lam, params.mu
@@ -222,16 +228,17 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
         win = np.searchsorted(pub, a_t, side="right") - 1
         grace = pub[1:].copy()
         np.maximum.at(grace, win, c_t)
+        # only a copy with a late reader outlives its replacement, which is at or before `end`
+        ext = grace > pub[1:]
 
-        g_end = np.concatenate((open_grace, grace))
+        g_end = np.concatenate((open_grace, grace[ext]))
         r_end = np.concatenate((open_reads, c_t))
         lo = max(start, warmup)
         if end > lo:
             # N(t) - 1 counts the extensions: copy first+k's on [pub[k+1], grace[k]),
             # and a copy carried from an earlier slab's on [start, its grace end)
-            ext = grace > pub[1:]
             xs = np.maximum(np.concatenate((np.full(len(open_grace), start), pub[1:][ext])), lo)
-            xe = np.minimum(np.concatenate((open_grace, grace[ext])), end)
+            xe = np.minimum(g_end, end)
             held = xe > xs
             xs, xe = xs[held], xe[held]
             if want_hist:
@@ -245,22 +252,27 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
                     np.minimum(np.concatenate(([1], level)), hist_cap), weights=dur, minlength=hist_cap + 1
                 )
 
-            # sawtooth age: while copy first+k is current, its age runs from pub[k-1]
-            w0 = np.maximum(pub[:-1], lo)
-            dt = np.maximum(pub[1:] - w0, 0.0)
-            born = np.concatenate(([origin], pub[:-2]))
-            cum_age = np.cumsum((w0 - born) * dt + 0.5 * dt * dt)
+            # sawtooth age: while copy first+k is current, its age runs from pub[k-1]; over the
+            # windows from i0, the one holding lo, each starts at the whole previous window's length
+            i0 = k0 - 1
+            dt = np.diff(pub[i0:])
+            age = np.concatenate(([lo - (pub[i0 - 1] if i0 else origin)], dt[:-1]))
+            dt[0] = pub[i0 + 1] - lo
+            area = (age + 0.5 * dt) * dt
 
             r_start = np.maximum(np.concatenate((np.full(len(open_reads), start), a_t)), lo)
             area_reads += float(np.maximum(np.minimum(r_end, end) - r_start, 0.0).sum())
             ended = r_end[r_end <= end]
             reads_served += int(np.count_nonzero((ended > warmup) & (ended < stop)))
 
-            # batch boundaries are publication times, so both areas are exact there
-            j = k0 - 1 - pubs + boundaries[(boundaries > pubs) & (boundaries <= pubs + n_new)]
-            tau = pub[j]
+            # batch boundaries are publication times, so both areas are exact there; a
+            # boundary's offset from i0 ends a segment of age windows, and one at the
+            # slab's last publication ends an empty last segment, which reduceat rejects
+            off = boundaries[(boundaries > pubs) & (boundaries <= pubs + n_new)] - pubs
+            tau = pub[i0 + off]
             snap_stale.extend(area_stale + float(np.maximum(np.minimum(xe, t) - xs, 0.0).sum()) for t in tau.tolist())
-            snap_age.extend((area_age + cum_age[j - 1]).tolist())
+            cum_age = np.cumsum(np.add.reduceat(area, np.concatenate(([0], off[off < len(area)]))))
+            snap_age.extend((area_age + cum_age[: len(off)]).tolist())
             snap_t.extend(tau.tolist())
             area_stale += float((xe - xs).sum())
             area_age += float(cum_age[-1])

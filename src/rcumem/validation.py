@@ -296,11 +296,21 @@ def i3_closed(alpha: float, mu: float, k: int, w: float) -> float:
     return _qk_minus_1(alpha, mu, k) / (mu * w)
 
 
+def _expm1_rate(mu: np.ndarray, alpha: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """expm1(-(mu/alpha) t) at the rule's nodes t, on a trailing axis.
+
+    Where mu/alpha, or its product with t, passes the float range it is inf,
+    and expm1 takes its limit -1.
+    """
+    with np.errstate(over="ignore"):
+        return np.expm1(-(mu / alpha)[..., None] * t)
+
+
 def i3_numeric(alpha, mu, k, w):
     """I3 = int_0^inf f_L(l) (e^{-mu l} - 1) dl / (mu w), over t = alpha l; k <= _MAX_RULE_K."""
     alpha, mu, w = _positive(alpha=alpha, mu=mu, w=w)
-    c, kc = (mu / alpha)[..., None], _rule_shape(k)[..., None]
-    v = _integral(lambda t: gamma_l_pdf(1.0, kc, t) * np.expm1(-c * t), _gamma_end(k))
+    kc = _rule_shape(k)[..., None]
+    v = _integral(lambda t: gamma_l_pdf(1.0, kc, t) * _expm1_rate(mu, alpha, t), _gamma_end(k))
     return _float_or_array(v / (mu * w))
 
 
@@ -312,8 +322,8 @@ def i4_closed(alpha: float, mu: float, k: int, w: float) -> float:
 def i4_numeric(alpha, mu, k, w):
     """I4 = int_0^inf f_L(l) (e^{-mu (w + l)} - e^{-mu w}) dl / (mu w), over t = alpha l; k <= _MAX_RULE_K."""
     alpha, mu, w = _positive(alpha=alpha, mu=mu, w=w)
-    c, e, kc = (mu / alpha)[..., None], np.exp(-mu * w)[..., None], _rule_shape(k)[..., None]
-    v = _integral(lambda t: gamma_l_pdf(1.0, kc, t) * (e * np.expm1(-c * t)), _gamma_end(k))
+    e, kc = np.exp(-mu * w)[..., None], _rule_shape(k)[..., None]
+    v = _integral(lambda t: gamma_l_pdf(1.0, kc, t) * (e * _expm1_rate(mu, alpha, t)), _gamma_end(k))
     return _float_or_array(v / (mu * w))
 
 

@@ -257,6 +257,13 @@ class TestPEkQuadrature:
         with pytest.raises(ConvergenceError):
             p_ek_quadrature(ModelParams(1.0, 1e300, 1e-10), np.arange(1, 4))
 
+    # lam/mu and alpha/mu both overflow: b_k expm1(-t/r) was inf * 0, which warned before the typed error
+    @pytest.mark.parametrize("alpha,lam,mu", [(1e10, 1e10, 1e-300), (1e300, 1e300, 1e-10)])
+    @pytest.mark.parametrize("k", [1, np.arange(1, 4)], ids=["scalar", "array"])
+    def test_infinite_b_and_r_is_convergence_error_without_warning(self, alpha, lam, mu, k):
+        with pytest.raises(ConvergenceError, match="b_k not finite"):
+            p_ek_quadrature(ModelParams(alpha, lam, mu), k)
+
 
 class TestArrayK:
     @pytest.mark.parametrize("alpha,lam,mu", [(0.5, 10.0, 1.0), (1.0, 1.0, 1.0), (100.0, 5.0, 1.0), (0.1, 200.0, 0.1)])
@@ -311,11 +318,15 @@ class TestFootprint:
 
     @pytest.mark.parametrize(
         "alpha,lam,mu,msg",
-        [(10000, 1e13, 1, "more than 200000 terms"), (1e300, 1, 1e-10, "alpha/mu overflows")],
-        ids=["head-cap", "q-rounds-to-1"],
+        [
+            (10000, 1e13, 1, "more than 200000 terms"),
+            (1e300, 1, 1e-10, "alpha/mu overflows"),
+            (1e-300, 1, 1e300, "alpha/mu underflows"),
+        ],
+        ids=["head-cap", "q-rounds-to-1", "q-rounds-to-0"],
     )
     def test_typed_error_where_the_sum_stops(self, alpha, lam, mu, msg):
-        # a head of 214,173 terms; alpha/mu = 1e310
+        # a head of 214,173 terms; alpha/mu = 1e310; alpha/mu = 1e-600
         for f in (en_exact, en_bound_jensen):
             with pytest.raises(ConvergenceError, match=msg):
                 f(ModelParams(alpha, lam, mu))

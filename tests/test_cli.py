@@ -70,8 +70,8 @@ class TestAnalytic:
 
     @pytest.mark.parametrize(
         "alpha,lam,mu",
-        [("10000", "1e13", "1"), ("1e300", "1", "1e-10")],
-        ids=["10000-1e13", "1e300-1-1e-10"],
+        [("10000", "1e13", "1"), ("1e300", "1", "1e-10"), ("1e-300", "1", "1e300")],
+        ids=["10000-1e13", "1e300-1-1e-10", "1e-300-1-1e300"],
     )
     def test_series_cap_exit_2(self, capsys, alpha, lam, mu):
         code, out, err = run(capsys, "analytic", "--alpha", alpha, "--lambda", lam, "--mu", mu)

@@ -258,6 +258,56 @@ class TestSlabIndependence:
             assert got.n_histogram == pytest.approx(want.n_histogram, rel=1e-12, abs=0.0)
 
 
+def _age_reference(params, config):
+    """(mean_age, ci_half_width_age) from each sawtooth window's area, one math.fsum per batch.
+
+    The publish times are the "writes" draws cumsummed from 0, as the
+    simulator takes them; window k runs from pub[k] to pub[k+1], with the
+    age counted from pub[k-1] (from 0 for k = 0), clipped at the warmup.
+    """
+    alpha, warmup = params[0], config.warmup_time
+    horizon, nb = config.horizon_publications, config.batch_count
+    draws = RandomSource(config.seed, "writes").exponential(alpha, int(2 * alpha * warmup) + 2 * horizon)
+    pub = np.cumsum(np.concatenate(([0.0], draws)))
+    i0 = max(1, int(np.searchsorted(pub, warmup, side="right"))) - 1  # the window holding the warmup
+    assert i0 + horizon < len(pub)
+    boundaries = np.array([((i + 1) * horizon) // nb for i in range(nb)])
+    k = np.arange(i0, i0 + horizon)
+    a, b = np.maximum(pub[k], warmup), pub[k + 1]
+    born = np.where(k > 0, pub[k - 1], 0.0)
+    area = ((b - a) * ((a + b) / 2 - born)).tolist()
+    batch = np.searchsorted(boundaries, k - i0, side="right")
+    sums = [math.fsum(area[m] for m in np.flatnonzero(batch == i)) for i in range(nb)]
+    tau = np.concatenate(([warmup], pub[i0 + boundaries]))
+    means = np.array(sums) / np.diff(tau)
+    ci = simulator._t975(nb - 1) * means.std(ddof=1) / math.sqrt(nb)
+    return math.fsum(sums) / (tau[-1] - warmup), ci
+
+
+class TestAgeSums:
+    """The age area and its batch areas match a direct sum over the sawtooth windows."""
+
+    @pytest.mark.parametrize(
+        "params,kw,slab_events",
+        [
+            ((3, 2, 1), dict(seed=5, warmup_time=0.0, horizon_publications=5_000, batch_count=10), None),
+            # the warmup ends about 5,000 publications into a 10,922-publication slab, which holds 11 boundaries
+            ((1, 0.5, 1), dict(seed=6, warmup_time=5000.5, horizon_publications=20_000, batch_count=40), None),
+            # slabs of 250 * 2/5 = 100 publications from time 0: every boundary is a slab's last publication
+            ((2, 3, 1), dict(seed=7, warmup_time=0.0, horizon_publications=2_000, batch_count=20), 250),
+        ],
+    )
+    def test_matches_fsum_over_windows(self, params, kw, slab_events, monkeypatch):
+        if slab_events is not None:
+            monkeypatch.setattr(simulator, "_SLAB_EVENTS", slab_events)
+        config = SimConfig(**kw)
+        stats = simulate(ModelParams(*params), config)
+        mean_age, ci_age = _age_reference(params, config)
+        assert stats.mean_age == pytest.approx(mean_age, rel=1e-12, abs=0.0)
+        # the simulator's batch areas are differences of running totals, which lose a few digits
+        assert stats.ci_half_width_age == pytest.approx(ci_age, rel=1e-11, abs=0.0)
+
+
 class TestTQuantile:
     def test_matches_scipy(self):
         from scipy.special import stdtrit

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import gammaincc
 
 from rcumem.core import ConvergenceError, DomainError, ModelParams
-from rcumem.analytics import lemma1_epsilon, p_ek_series
+from rcumem.analytics import lemma1_epsilon, p_ek_quadrature, p_ek_series
 from rcumem import validation
 from rcumem.validation import (
     appendix_identity_checks,
@@ -351,6 +351,27 @@ class TestOracleDomain:
     def test_numerics_reject_shapes_past_the_rule(self, f, k):
         with pytest.raises(DomainError):
             f(1.0, 0.1, k, 1.0)
+
+
+    # r = alpha/mu near or below the smallest normal float: 4^i in p_ek_quadrature's panel edges, t/r,
+    # mu/alpha and (mu/alpha) t pass the float range; each value is the limit, with no RuntimeWarning
+    # (which the suite turns into an error)
+    @pytest.mark.parametrize("alpha,mu", [(1e-300, 1e10), (1e-300, 1e8), (1e-10, 1e300)])
+    @pytest.mark.parametrize(
+        "numeric,closed",
+        [
+            (lambda a, m: p_ek_quadrature(ModelParams(a, 1.0, m), 1), lambda a, m: p_ek_series(ModelParams(a, 1.0, m), 1)),
+            (
+                lambda a, m: p_ek_quadrature(ModelParams(a, 1.0, m), np.arange(1, 4)),
+                lambda a, m: p_ek_series(ModelParams(a, 1.0, m), np.arange(1, 4)),
+            ),
+            (lambda a, m: i3_numeric(a, m, 2, 1.0), lambda a, m: i3_closed(a, m, 2, 1.0)),
+            (lambda a, m: i4_numeric(a, m, 2, 1.0), lambda a, m: i4_closed(a, m, 2, 1.0)),
+        ],
+        ids=["p_ek_quadrature", "p_ek_quadrature-array", "i3", "i4"],
+    )
+    def test_extreme_rate_ratio_takes_the_limit_without_warning(self, numeric, closed, alpha, mu):
+        assert numeric(alpha, mu) == pytest.approx(closed(alpha, mu), rel=1e-12, abs=0.0)
 
 
 # 300 log-uniform (alpha, mu, k, w) points, far wider than the `validate` grid
