@@ -150,7 +150,16 @@ class RandomSource:
         n = 1 if size is None else int(size)
         u = self._gen.random((n, int(shape)))
         np.log1p(np.negative(u, out=u), out=u)
-        out = u.sum(axis=1)
+        if shape < 8:
+            # numpy sums a row of fewer than 8 terms left to right, so column
+            # adds give the same bits without the row-wise reduction's overhead
+            out = u[:, 0].copy()
+            for j in range(1, int(shape)):
+                out += u[:, j]
+        else:
+            # from 8 terms numpy's pairwise sum keeps 8 partial sums, which a
+            # left-to-right loop would not reproduce
+            out = u.sum(axis=1)
         out /= -rate
         return float(out[0]) if size is None else out
 

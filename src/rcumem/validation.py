@@ -131,10 +131,11 @@ def mc_lemma1(params: ModelParams, k: int, w: float, samples: int, seed: int) ->
     return lemma1_cells(k, [(params, w)], samples, seed)[0]
 
 
-# w, m and L for a chunk of samples, then its readers' U and E, come in turn
-# from the one "p_ek" stream, so the chunk size fixes every draw: another size
-# re-draws every estimate. The _BLOCK-reader blocks inside a chunk do not:
-# they read U and E from sources split at their segment starts.
+# w, m and L for a chunk of samples, then its readers' U and E, take their
+# segments of the one "p_ek" stream in turn, so the chunk size fixes every
+# draw: another size re-draws every estimate. The blocks inside a chunk do
+# not: each draw comes from a source split at its segment's start, or, for
+# the Poisson counts, from the stream itself in sample order.
 _P_EK_CHUNK = 100_000
 
 
@@ -145,8 +146,16 @@ def mc_p_ek(params: ModelParams, k: int, samples: int, seed: int) -> McEstimate:
     currency window; m ~ Poisson(lam*w) readers land uniformly in it with
     exponential(mu) holds; the elapsed time L ~ Gamma(k, alpha) is shared
     by all of them. Success iff the latest reader release is by L
-    (vacuous for m = 0), so only one maximum per sample is kept, and the
-    readers are drawn in sample-aligned blocks of about _BLOCK.
+    (vacuous for m = 0), so only one maximum per sample is kept.
+
+    Of a chunk only the reader offsets, one int64 per sample, are held
+    whole: the counts m are drawn _BLOCK samples at a time and summed into
+    them in place. w is drawn twice, from two sources split at the chunk
+    start: once for those counts, and once with L for each block of at
+    most _BLOCK samples and about _BLOCK readers. Every draw is the one a
+    whole-chunk draw gives, and the traced peak (1.6 MiB at lam = 10) does
+    not grow with `samples`, so validate's pool can run this beside its
+    other checks.
     """
     if samples < 10_000:
         raise DomainError(f"samples must be >= 1e4, got {samples}")
@@ -157,27 +166,37 @@ def mc_p_ek(params: ModelParams, k: int, samples: int, seed: int) -> McEstimate:
     bad = 0
     for done in range(0, samples, _P_EK_CHUNK):
         n = min(_P_EK_CHUNK, samples - done)
-        w = rs.exponential(params.alpha, n)
-        m = rs.poisson(params.lam * w) if params.lam > 0 else np.zeros(n, dtype=np.int64)
-        l = rs.gamma_int(k, params.alpha, n)
-        ends = np.cumsum(m)
+        w_src, w_again = rs.split(0, n)
+        ends = np.zeros(n, dtype=np.int64)
+        if params.lam > 0:
+            for a in range(0, n, _BLOCK):
+                seg = ends[a : a + _BLOCK]
+                np.cumsum(rs.poisson(params.lam * w_src.exponential(params.alpha, len(seg))), out=seg)
+                if a:
+                    seg += ends[a - 1]
         total = int(ends[-1])
-        u_src, e_src = rs.split(total, total)
-        # block j ends at the first sample whose readers reach (j + 1) * _BLOCK
-        cuts = np.searchsorted(ends, np.arange(_BLOCK, total, _BLOCK), side="left") + 1
+        l_src, u_src, e_src = rs.split(k * n, total, total)
+        # block j ends at the first sample whose readers reach (j + 1) * _BLOCK,
+        # and at every _BLOCK-th sample; a repeated cut gives an empty block
+        cuts = np.sort(np.concatenate((
+            np.searchsorted(ends, np.arange(_BLOCK, total, _BLOCK), side="left") + 1,
+            np.arange(_BLOCK, n, _BLOCK),
+        )))
         for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), n]):
             if a >= b:
                 continue
+            w = w_again.exponential(params.alpha, b - a)
+            l = l_src.gamma_int(k, params.alpha, b - a)
             first = int(ends[a - 1]) if a else 0
             count = int(ends[b - 1]) - first
-            mb = m[a:b]
+            mb = np.diff(ends[a:b], prepend=first)
             # release y = E - U*w per reader, in place; bit-identical to -w*U + E
             y = u_src.uniform(count)
-            y *= np.repeat(w[a:b], mb)
+            y *= np.repeat(w, mb)
             np.subtract(e_src.exponential(params.mu, count), y, out=y)
             busy = mb > 0
             latest = np.maximum.reduceat(y, (ends[a:b] - mb - first)[busy])
-            bad += int(np.count_nonzero(latest > l[a:b][busy]))
+            bad += int(np.count_nonzero(latest > l[busy]))
     est = (samples - bad) / samples
     se = math.sqrt(est * (1.0 - est) / samples)
     return McEstimate(est, se, samples)
@@ -364,12 +383,18 @@ def fy_normalization(mu, w):
     return _float_or_array(i1_numeric(mu, w) + pos)
 
 
+# grid rows per array call: the numerics' temporaries are rows x 656 nodes, so
+# the 81-row default grid in one call peaked at 2.9 MiB and 27 rows peak at
+# 1.0 MiB; rows do not interact, so any slicing gives the same values
+_APPENDIX_ROWS = 27
+
+
 def appendix_identity_checks(grid=None) -> list[tuple[str, float, float, float]]:
     """Recompute the appendix integrals numerically against their closed forms.
 
     Returns (name, numeric, closed, abs_error) tuples over the grid of
-    (alpha, mu, k, w) combinations; each numeric is one array call over the
-    whole grid.
+    (alpha, mu, k, w) combinations; each numeric is one array call per
+    slice of _APPENDIX_ROWS grid rows.
     """
     if grid is None:
         grid = [
@@ -379,14 +404,17 @@ def appendix_identity_checks(grid=None) -> list[tuple[str, float, float, float]]
             for k in (1, 2, 5)
             for w in (0.1, 1.0, 5.0)
         ]
-    alpha, mu, k, w = np.array(grid, dtype=float).reshape(-1, 4).T
-    numeric = zip(
-        i1_numeric(mu, w).tolist(),
-        i3_numeric(alpha, mu, k, w).tolist(),
-        i4_numeric(alpha, mu, k, w).tolist(),
-        lemma1_numeric(alpha, mu, k, w).tolist(),
-        fy_normalization(mu, w).tolist(),
-    )
+    rows = np.array(grid, dtype=float).reshape(-1, 4)
+    numeric = []
+    for i in range(0, len(rows), _APPENDIX_ROWS):
+        alpha, mu, k, w = rows[i : i + _APPENDIX_ROWS].T
+        numeric += zip(
+            i1_numeric(mu, w).tolist(),
+            i3_numeric(alpha, mu, k, w).tolist(),
+            i4_numeric(alpha, mu, k, w).tolist(),
+            lemma1_numeric(alpha, mu, k, w).tolist(),
+            fy_normalization(mu, w).tolist(),
+        )
     out = []
     for (alpha, mu, k, w), (n1, n3, n4, nl, nn) in zip(grid, numeric):
         tag = f"(alpha={alpha}, mu={mu}, k={k}, w={w})"

@@ -257,6 +257,26 @@ class TestCliImport:
         assert child.returncode == 0, child.stderr
         assert child.stdout.strip() == ""
 
+    def test_no_thread_pool_on_analytic_simulate_or_tradeoff(self):
+        # only validate runs its checks on a thread pool; the other subcommands
+        # do not pay to import concurrent.futures
+        code = "\n".join(
+            [
+                "import contextlib, io, sys, rcumem.cli",
+                "for argv in (",
+                "    ['analytic', '--alpha', '0.5,2', '--lambda', '0,10', '--mu', '1'],",
+                "    ['simulate', '--alpha', '1', '--lambda', '2', '--publications', '1000', '--batches', '10'],",
+                "    ['tradeoff', '--alpha', '0.5:50:4:log', '--lambda', '5'],",
+                "):",
+                "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+                "        assert rcumem.cli.main(argv) == 0, argv",
+                "print(*sorted(m for m in sys.modules if m == 'concurrent' or m.startswith('concurrent.')))",
+            ]
+        )
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == ""
+
     def test_no_scipy_on_validate(self):
         # every oracle in rcumem.validation runs on numpy's Gauss-Legendre nodes,
         # the joint quadrature too, though validate does not call it

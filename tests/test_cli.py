@@ -1,8 +1,12 @@
 import math
+import os
+import sys
 
 import pytest
 
+from rcumem import validation
 from rcumem.cli import CSV_HEADER, main, parse_grid, point_seed
+from rcumem.core import ConvergenceError
 
 
 def run(capsys, *argv):
@@ -220,3 +224,45 @@ class TestValidateCommand:
         code, out, _ = run(capsys, "validate", "--samples", "20000", "--quad-tol", "1e-15")
         assert code == 1
         assert any(l.startswith("FAIL") and "series-vs-quadrature" in l for l in out.splitlines())
+
+
+class TestValidatePool:
+    # validate runs its checks on a pool of one thread per usable CPU; one CPU is a serial run
+    def test_one_cpu_gives_the_same_run(self, capsys, monkeypatch):
+        pooled = run(capsys, "validate", "--samples", "20000", "--seed", "3")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert run(capsys, "validate", "--samples", "20000", "--seed", "3") == pooled
+
+    def test_more_threads_than_cores_switching_often_give_the_same_run(self, capsys, monkeypatch):
+        # a thread per check, each preempted every microsecond: no check may touch another's state
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = run(capsys, "validate", "--samples", "20000", "--seed", "3")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = run(capsys, "validate", "--samples", "20000", "--seed", "3")
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled == serial
+
+    def test_error_in_a_pooled_check_exits_2_after_the_lines_before_it(self, capsys, monkeypatch):
+        mc_p_ek = validation.mc_p_ek
+
+        def failing(params, k, samples, seed):
+            if params.lam == 10.0:
+                raise ConvergenceError("injected")
+            return mc_p_ek(params, k, samples, seed)
+
+        monkeypatch.setattr(validation, "mc_p_ek", failing)
+        pooled = run(capsys, "validate", "--samples", "20000", "--seed", "3")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert run(capsys, "validate", "--samples", "20000", "--seed", "3") == pooled
+        code, out, err = pooled
+        assert code == 2
+        assert err == "error: injected\n"
+        lines = out.splitlines()
+        # the 81 Lemma 1 cells, then the first p_ek point, then nothing
+        assert len(lines) == 82
+        assert all(" lemma1 k=" in line for line in lines[:81])
+        assert "p_ek mc-vs-series alpha=1.0 lam=1.0 mu=1.0 k=1:" in lines[81]

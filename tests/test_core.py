@@ -147,6 +147,13 @@ class TestRandomSource:
         assert type(scalar) is float
         assert scalar == -np.log1p(-RandomSource(7, "g").uniform((1, 3))).sum() / 2.0
 
+    @pytest.mark.parametrize("shape", [1, 2, 5, 7, 8, 12])
+    def test_gamma_int_sum_on_both_sides_of_8_terms(self, shape):
+        # column adds below 8 terms, numpy's row sum from 8: the same bits as the row sum throughout
+        n = 50_000
+        u = RandomSource(7, "g").uniform((n, shape))
+        assert np.array_equal(RandomSource(7, "g").gamma_int(shape, 2.0, n), -np.log1p(-u).sum(axis=1) / 2.0)
+
     def test_exponential_needs_no_temporaries(self):
         # 1e6 doubles are 7.6 MiB; the uniforms are transformed in place
         tracemalloc.start()

@@ -204,6 +204,17 @@ class TestMcPEk:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
 
+    def test_memory_is_streamed_through_the_chunk(self):
+        # the counts m, and w and L beside the readers, come in blocks too:
+        # what is held whole is the chunk's int64 reader offsets (0.8 MiB)
+        tracemalloc.start()
+        try:
+            mc_p_ek(ModelParams(1, 10, 1), 1, 200_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
+
     @pytest.mark.parametrize(
         "params,k",
         [
@@ -286,6 +297,22 @@ class TestAppendixIdentities:
     def test_full_grid(self):
         for name, numeric, closed, err in appendix_identity_checks():
             assert err <= 1e-6, f"{name}: numeric={numeric} closed={closed} err={err}"
+
+    def test_slices_give_the_values_of_one_call(self, monkeypatch):
+        sliced = appendix_identity_checks()
+        for rows in (81, 5):  # the whole default grid in one call; a slice size that does not divide it
+            monkeypatch.setattr(validation, "_APPENDIX_ROWS", rows)
+            assert appendix_identity_checks() == sliced
+
+    def test_memory_is_per_slice(self):
+        # the whole 81-row default grid in one call peaked at 2.9 MiB
+        tracemalloc.start()
+        try:
+            appendix_identity_checks()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20
 
     def test_lemma1_numeric_matches_closed_to_1e13(self):
         checks = [c for c in appendix_identity_checks() if c[0].startswith("Lemma1")]
