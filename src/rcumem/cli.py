@@ -217,6 +217,8 @@ def cmd_validate(args) -> int:
 
     samples = args.samples
     seed = args.seed
+    if not args.quad_tol >= 0:  # NaN too, which would fail the grid check after every other check ran
+        raise ValueError(f"--quad-tol must be >= 0, got {args.quad_tol}")
 
     cells = [
         (ModelParams(alpha, 1.0, mu), w)

@@ -134,6 +134,15 @@ class TestSimulate:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_nan_warmup_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--alpha", "1", "--lambda", "1", "--publications", "1000", "--warmup", "nan",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_histogram_sidecar(self, capsys, tmp_path):
         out_path = str(tmp_path / "rows.csv")
         code, _, _ = run(
@@ -224,6 +233,13 @@ class TestValidateCommand:
         code, out, _ = run(capsys, "validate", "--samples", "20000", "--quad-tol", "1e-15")
         assert code == 1
         assert any(l.startswith("FAIL") and "series-vs-quadrature" in l for l in out.splitlines())
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-8"])
+    def test_bad_quadrature_tolerance_exit_2_before_any_check(self, capsys, tol):
+        code, out, err = run(capsys, "validate", "--samples", "20000", f"--quad-tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --quad-tol")
 
 
 class TestValidatePool:

@@ -38,6 +38,12 @@ class TestSimConfig:
             {"batch_count": 9},
             {"warmup_time": -1.0},
             {"horizon_publications": 1000, "batch_count": 1001},
+            {"warmup_time": math.nan},
+            {"warmup_time": math.inf},
+            {"horizon_publications": 1000.5},
+            {"batch_count": 10.5},
+            {"record_updates": 2.5},
+            {"record_updates": -1},
         ],
     )
     def test_invalid(self, kw):
@@ -234,6 +240,11 @@ SLAB_CASES = {
     "write_heavy": ((1000, 1, 1), {"seed": 3, "horizon_publications": 20_000}),
     # one publication per batch: many boundaries per slab, and extensions straddling several
     "batch_per_publication": ((0.5, 10, 1), {"seed": 3, "horizon_publications": 5_000, "batch_count": 5_000}),
+    # about 2 reads per publication: slabs fall on both sides of _read_windows' switch
+    "mixed": (
+        (1, 2, 1),
+        {"seed": 3, "horizon_publications": 20_000, "sample_n_distribution": True, "record_updates": 20_005},
+    ),
 }
 
 
@@ -256,6 +267,61 @@ class TestSlabIndependence:
         else:
             assert list(got.n_histogram) == list(want.n_histogram)
             assert got.n_histogram == pytest.approx(want.n_histogram, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("slab_events", [64, 1000, simulator._SLAB_EVENTS])
+    def test_mixed_case_takes_both_branches(self, slab_events, monkeypatch):
+        params, kw = SLAB_CASES["mixed"]
+        read_windows = simulator._read_windows
+        above = []
+
+        def spy(pub, a_t):
+            above.append(len(a_t) > 2 * len(pub))
+            return read_windows(pub, a_t)
+
+        monkeypatch.setattr(simulator, "_read_windows", spy)
+        monkeypatch.setattr(simulator, "_SLAB_EVENTS", slab_events)
+        simulate(ModelParams(*params), SimConfig(**kw))
+        assert any(above) and not all(above)
+
+
+def _windows_by_loop(pub, reads):
+    """Window of each sorted read by a walk along the publications: the last k with pub[k] <= read."""
+    win, k = [], 0
+    for a in reads:
+        while k + 2 < len(pub) and pub[k + 1] <= a:
+            k += 1
+        win.append(k)
+    return win
+
+
+class TestReadWindows:
+    """_read_windows matches a plain loop on either side of its reads-per-publication switch."""
+
+    # tied publications, so windows [1, 1) and [4, 4) are empty
+    PUB = np.array([0.0, 1.0, 1.0, 1.0, 2.5, 4.0, 4.0, 4.5, 7.0, 8.0])
+
+    # the per-publication search is taken above 2 * len(PUB) = 20 reads
+    @pytest.mark.parametrize("n_reads", [0, 1, 9, 20, 21, 200])
+    def test_matches_loop(self, n_reads):
+        rng = np.random.default_rng(n_reads)
+        at_pubs = self.PUB[:-1][:n_reads]  # reads exactly at publications, tied ones included
+        reads = np.sort(np.concatenate((at_pubs, rng.uniform(0.0, self.PUB[-1], n_reads - len(at_pubs)))))
+        assert simulator._read_windows(self.PUB, reads).tolist() == _windows_by_loop(self.PUB, reads)
+
+    def test_random_slabs(self):
+        rng = np.random.default_rng(2026)
+        above = []
+        for _ in range(400):
+            pub = np.sort(rng.integers(0, 12, int(rng.integers(2, 20)))).astype(float)  # integer times tie often
+            if pub[-1] == pub[0]:
+                continue
+            n = int(rng.integers(0, 5 * len(pub)))
+            # half the reads on the integer grid, so many sit exactly on a publication
+            reads = np.concatenate((rng.integers(pub[0], pub[-1], n // 2), rng.uniform(pub[0], pub[-1], n - n // 2)))
+            reads = np.sort(reads[reads < pub[-1]])
+            above.append(len(reads) > 2 * len(pub))
+            assert simulator._read_windows(pub, reads).tolist() == _windows_by_loop(pub, reads)
+        assert 50 < sum(above) < len(above) - 50
 
 
 def _age_reference(params, config):
