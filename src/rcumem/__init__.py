@@ -26,9 +26,7 @@ from .simulator import (
     SimConfig,
     SimStats,
     UpdateRecord,
-    estimate_age_from_polygons,
     simulate,
-    simulate_n_distribution,
 )
 
 __all__ = [
@@ -48,13 +46,11 @@ __all__ = [
     "en_bound_jensen",
     "en_bound_simple",
     "en_exact",
-    "estimate_age_from_polygons",
     "lemma1_epsilon",
     "p_ek_given_w",
     "p_ek_quadrature",
     "p_ek_series",
     "simulate",
-    "simulate_n_distribution",
     "validate",
 ]
 

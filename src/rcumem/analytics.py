@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvergenceError, DomainError, ModelParams, _float_or_array, b_k, validate
+from .core import ConvergenceError, DomainError, ModelParams, _float_or_array, _legendre_panels, b_k, validate
 
 
 @dataclass(frozen=True)
@@ -117,9 +117,9 @@ def p_ek_series(params: ModelParams, k):
     return _float_or_array(p)
 
 
-# Gauss-Legendre rules on [-1, 1] (DLMF 3.5(v)): p_ek_quadrature's value and its embedded check
-_GL32 = np.polynomial.legendre.leggauss(32)
-_GL16 = np.polynomial.legendre.leggauss(16)
+# nodes per panel of p_ek_quadrature's rule and of its embedded check rule
+_NODES = 32
+_CHECK_NODES = 16
 
 
 def p_ek_quadrature(params: ModelParams, k):
@@ -128,10 +128,11 @@ def p_ek_quadrature(params: ModelParams, k):
     With t = alpha w this is int_0^inf exp(b_k expm1(-t/r) - t) dt, r = alpha/mu,
     taken on [0, 40]; the rest is below e^{-40}. The integrand is at most
     e^{-t}, so it cannot overflow, and it falls on the scales 1, r and
-    r/b_k. A fixed composite Gauss-Legendre rule resolves each: a first
-    panel [0, c] with c = min(1, r/max(1, max_k b_k)), then panels growing by
-    a factor of 4 up to 40, with 32 nodes each. The 16-node rule on the same
-    panels gives the error estimate, the sum over panels of |G32 - G16|.
+    r/b_k. A fixed composite Gauss-Legendre rule from core._legendre_panels
+    resolves each: a first panel [0, c] with c = min(1, r/max(1, max_k b_k)),
+    then panels growing by a factor of 4 up to 40, with _NODES = 32 nodes
+    each. The _CHECK_NODES = 16-node rule on the same panels gives the error
+    estimate, the sum over panels of |G32 - G16|.
     k is an int (a float comes back) or an integer ndarray (an array of its
     shape, from one pass on one panel set). ConvergenceError where an
     estimate exceeds 1e-9, where b_k is not finite, or where r leaves no
@@ -147,18 +148,17 @@ def p_ek_quadrature(params: ModelParams, k):
     # c * 4^i, exactly, with no overflow of 4^i where c is tiny
     top = np.ldexp(c, 2 * np.arange(math.ceil((math.log(40.0) - math.log(c)) / math.log(4.0))))
     edges = np.concatenate(([0.0], top[top < 40.0], [40.0]))
-    half = np.diff(edges) / 2.0
-    x = np.concatenate((_GL32[0], _GL16[0]))
-    t = edges[:-1, None] + half[:, None] * (x + 1.0)  # (panels, 48)
+    t, w = _legendre_panels(edges, _NODES)
+    t_check, w_check = _legendre_panels(edges, _CHECK_NODES)
+    t = np.concatenate((t, t_check), axis=-1)  # both rules' nodes, for one pass of the integrand
     with np.errstate(over="ignore"):  # t/r past the float range is inf, where expm1 takes its limit -1
         f = np.exp(b[..., None, None] * np.expm1(-t / r) - t)
-    n = _GL32[0].size
-    g32 = (f[..., :n] @ _GL32[1]) * half
-    err = np.abs(g32 - (f[..., n:] @ _GL16[1]) * half).sum(axis=-1)
+    g = (f[..., :_NODES] * w).sum(axis=-1)
+    err = np.abs(g - (f[..., _NODES:] * w_check).sum(axis=-1)).sum(axis=-1)
     bad = ~(err <= 1e-9)
     if bad.any():
         raise ConvergenceError(f"p_ek_quadrature: error estimate {err[bad].flat[0]:.2e} at b_k={b[bad].flat[0]}")
-    return _float_or_array(g32.sum(axis=-1))
+    return _float_or_array(g.sum(axis=-1))
 
 
 def en_bound_simple(params: ModelParams) -> float:

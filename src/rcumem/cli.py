@@ -16,55 +16,14 @@ import argparse
 import io
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvergenceError, DomainError, ModelParams
+from .core import ConvergenceError, DomainError, ModelParams, _U64
 from . import analytics
 from .simulator import ConfigError, SimConfig, simulate
 
 CSV_HEADER = "alpha,lambda,mu,en_exact,en_bound_jensen,en_bound_simple,avg_age,sim_en,sim_en_ci,sim_age,sim_age_ci,seed"
-
-_U64 = (1 << 64) - 1
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    alpha: float
-    lam: float
-    mu: float
-    en_exact: float
-    en_bound_jensen: float
-    en_bound_simple: float
-    avg_age: float
-    sim_en: float | None = None
-    sim_en_ci: float | None = None
-    sim_age: float | None = None
-    sim_age_ci: float | None = None
-    seed: int | None = None
-
-    def csv(self) -> str:
-        def num(v):
-            return "" if v is None else repr(float(v))
-
-        seed = "" if self.seed is None else str(self.seed)
-        return ",".join(
-            [
-                repr(float(self.alpha)),
-                repr(float(self.lam)),
-                repr(float(self.mu)),
-                repr(float(self.en_exact)),
-                repr(float(self.en_bound_jensen)),
-                repr(float(self.en_bound_simple)),
-                repr(float(self.avg_age)),
-                num(self.sim_en),
-                num(self.sim_en_ci),
-                num(self.sim_age),
-                num(self.sim_age_ci),
-                seed,
-            ]
-        )
 
 
 def parse_grid(spec: str) -> list[float]:
@@ -111,17 +70,10 @@ def _grid_points(args) -> list[ModelParams]:
     return [ModelParams(a, l, m) for a in alphas for l in lams for m in mus]
 
 
-def _analytic_row(p: ModelParams) -> SweepRow:
+def _analytic_row(p: ModelParams) -> tuple[float, ...]:
+    """The seven analytic CSV columns, alpha through avg_age."""
     rep = analytics.en_exact(p)
-    return SweepRow(
-        alpha=p.alpha,
-        lam=p.lam,
-        mu=p.mu,
-        en_exact=rep.en_exact,
-        en_bound_jensen=rep.en_bound_jensen,
-        en_bound_simple=rep.en_bound_simple,
-        avg_age=analytics.avg_age(p),
-    )
+    return (p.alpha, p.lam, p.mu, rep.en_exact, rep.en_bound_jensen, rep.en_bound_simple, analytics.avg_age(p))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -137,21 +89,13 @@ def cmd_analytic(args) -> int:
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")
     for p in points:
-        buf.write(_analytic_row(p).csv() + "\n")
+        buf.write(",".join(repr(float(v)) for v in _analytic_row(p)) + ",,,,,\n")
     _emit(buf.getvalue(), args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
     points = _grid_points(args)
-    config_kw = dict(
-        horizon_publications=args.publications,
-        batch_count=args.batches,
-        sample_n_distribution=args.histogram,
-    )
-    if args.warmup is not None:
-        config_kw["warmup_time"] = args.warmup
-
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")
     worst = 0.0
@@ -160,22 +104,21 @@ def cmd_simulate(args) -> int:
     for i, p in enumerate(points):
         seed = point_seed(args.seed, i)
         row = _analytic_row(p)
-        st = simulate(p, SimConfig(seed=seed, **config_kw))
-        row = SweepRow(
-            **{
-                **row.__dict__,
-                "sim_en": st.mean_active_updates,
-                "sim_en_ci": st.ci_half_width_n,
-                "sim_age": st.mean_age,
-                "sim_age_ci": st.ci_half_width_age,
-                "seed": seed,
-            }
+        config = SimConfig(
+            seed=seed,
+            warmup_time=args.warmup,
+            horizon_publications=args.publications,
+            batch_count=args.batches,
+            sample_n_distribution=args.histogram,
         )
-        buf.write(row.csv() + "\n")
-        dev = abs(st.mean_active_updates - row.en_exact)
+        st = simulate(p, config)
+        sim = (st.mean_active_updates, st.ci_half_width_n, st.mean_age, st.ci_half_width_age)
+        buf.write(",".join(repr(float(v)) for v in (*row, *sim)) + f",{seed}\n")
+        exact = row[3]
+        dev = abs(st.mean_active_updates - exact)
         if st.ci_half_width_n > 0:
             worst = max(worst, dev / st.ci_half_width_n)
-        if dev > max(3.0 * st.ci_half_width_n, 0.02 * row.en_exact):
+        if dev > max(3.0 * st.ci_half_width_n, 0.02 * exact):
             failed = True
         if args.histogram and st.n_histogram is not None:
             for n, wgt in st.n_histogram.items():

@@ -9,6 +9,7 @@ same deterministic random-source contract defined here.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -61,6 +62,31 @@ def validate(params: ModelParams) -> DerivedParams:
 def _float_or_array(a: np.ndarray):
     """A 0-d result as a float, any other as the array."""
     return float(a) if a.ndim == 0 else a
+
+
+@functools.cache
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's n-node Gauss-Legendre rule on [-1, 1] (DLMF 3.5(v)), built on its first call.
+
+    Read-only, since every caller shares the one cached pair.
+    """
+    x, wt = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = wt.flags.writeable = False
+    return x, wt
+
+
+def _legendre_panels(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The composite n-node Gauss-Legendre rule on the panels between consecutive edges.
+
+    Returns (nodes, weights), each of shape (panels, n): row i holds panel
+    [edges[i], edges[i + 1]]'s nodes and weights, so the sum of
+    weights * f(nodes) over a row is that panel's integral, and over both
+    axes the integral from edges[0] to edges[-1]. The one composite rule
+    builder of the package; callers must not write into the returned arrays.
+    """
+    x, wt = _leggauss(n)
+    half = np.diff(edges)[:, None] / 2.0
+    return edges[:-1, None] + half * (x + 1.0), half * wt
 
 
 def b_k(params: ModelParams, k):

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import DomainError, ModelParams, RandomSource, validate
+from .core import ModelParams, RandomSource, validate
 
 # publications plus read arrivals handled per array pass
 _SLAB_EVENTS = 16384
@@ -356,28 +355,3 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
         n_histogram=histogram,
         update_records=tuple(records),
     )
-
-
-def simulate_n_distribution(params: ModelParams, config: SimConfig) -> dict[int, float]:
-    """Time-weighted empirical distribution of N (probabilities summing to 1)."""
-    if not config.sample_n_distribution:
-        raise ConfigError("sample_n_distribution must be enabled")
-    stats_ = simulate(params, config)
-    assert stats_.n_histogram is not None
-    return stats_.n_histogram
-
-
-def estimate_age_from_polygons(write_times: Sequence[float]) -> float:
-    """Average age from the sawtooth polygon decomposition of write intervals.
-
-    Each publication's polygon has area W_{n-1}^2/2 + W_{n-1} W_n (the big
-    triangle on W_{n-1}+W_n minus the triangle on W_n); the estimate is the
-    summed area over the summed interval lengths, n >= 2.
-    """
-    w = np.asarray(write_times, dtype=float)
-    if w.ndim != 1 or len(w) < 2:
-        raise DomainError("need at least 2 write intervals")
-    if np.any(w < 0):
-        raise DomainError("write intervals must be nonnegative")
-    q = 0.5 * w[:-1] ** 2 + w[:-1] * w[1:]
-    return float(q.sum() / w[1:].sum())

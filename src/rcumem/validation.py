@@ -3,8 +3,9 @@
 Monte Carlo estimators rebuild the probabilistic construction behind the
 grace-period survival probabilities from raw uniforms, and quadrature
 recomputes the densities and integrals used in deriving them. These are
-test infrastructure: slower than the analytics module, but with no shared
-code path to it.
+test infrastructure: slower than the analytics module, and sharing with it
+only numpy's Gauss-Legendre nodes, laid out on panels by
+core._legendre_panels; the integrands and changes of variable are their own.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvergenceError, DomainError, ModelParams, RandomSource, _float_or_array, validate
+from .core import ConvergenceError, DomainError, ModelParams, RandomSource, _float_or_array, _legendre_panels, validate
 from .analytics import lemma1_epsilon
 
 
@@ -126,11 +127,6 @@ def lemma1_cells(
     return out
 
 
-def mc_lemma1(params: ModelParams, k: int, w: float, samples: int, seed: int) -> McEstimate:
-    """Estimate P(U + X <= L) by direct sampling: lemma1_cells at one cell."""
-    return lemma1_cells(k, [(params, w)], samples, seed)[0]
-
-
 # w, m and L for a chunk of samples, then its readers' U and E, take their
 # segments of the one "p_ek" stream in turn, so the chunk size fixes every
 # draw: another size re-draws every estimate. The blocks inside a chunk do
@@ -203,16 +199,15 @@ def mc_p_ek(params: ModelParams, k: int, samples: int, seed: int) -> McEstimate:
 
 
 def _dyadic_legendre(nodes: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule on [0, 1] (DLMF 3.5(v)).
+    """Composite Gauss-Legendre rule on [0, 1], flattened (core._legendre_panels).
 
     Panels [2^-j, 2^(1-j)] for j = 1..panels-1 and [0, 2^(1-panels)], each
     with the same number of nodes, so every doubling of scale up to 1 is
     resolved alike.
     """
-    x, wt = np.polynomial.legendre.leggauss(nodes)
     edges = np.concatenate(([0.0], np.exp2(np.arange(1.0 - panels, 1.0))))
-    half = np.diff(edges)[:, None] / 2.0
-    return (edges[:-1, None] + half * (x + 1.0)).ravel(), (half * wt).ravel()
+    x, wt = _legendre_panels(edges, nodes)
+    return x.ravel(), wt.ravel()
 
 
 # 16 nodes on each of 41 panels. A scale below the smallest panel, 2^-40 of

@@ -259,10 +259,14 @@ class TestCliImport:
 
     def test_no_thread_pool_on_analytic_simulate_or_tradeoff(self):
         # only validate runs its checks on a thread pool; the other subcommands
-        # do not pay to import concurrent.futures
+        # do not pay to import concurrent.futures, nor to build a Gauss-Legendre
+        # rule, which core builds on the first call that needs one
         code = "\n".join(
             [
-                "import contextlib, io, sys, rcumem.cli",
+                "import contextlib, io, sys, numpy as np",
+                "built, leggauss = [], np.polynomial.legendre.leggauss",
+                "np.polynomial.legendre.leggauss = lambda n: built.append(f'leggauss({n})') or leggauss(n)",
+                "import rcumem.cli",
                 "for argv in (",
                 "    ['analytic', '--alpha', '0.5,2', '--lambda', '0,10', '--mu', '1'],",
                 "    ['simulate', '--alpha', '1', '--lambda', '2', '--publications', '1000', '--batches', '10'],",
@@ -270,7 +274,7 @@ class TestCliImport:
                 "):",
                 "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
                 "        assert rcumem.cli.main(argv) == 0, argv",
-                "print(*sorted(m for m in sys.modules if m == 'concurrent' or m.startswith('concurrent.')))",
+                "print(*sorted(m for m in sys.modules if m == 'concurrent' or m.startswith('concurrent.')), *built)",
             ]
         )
         child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())

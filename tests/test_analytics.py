@@ -240,7 +240,7 @@ class TestPEkQuadrature:
 
     def test_large_error_estimate_is_convergence_error(self, monkeypatch):
         # a 2-node check rule misses e^{-t} on [0, 1] by ~1e-4, so |G32 - G2| is far above 1e-9
-        monkeypatch.setattr(analytics, "_GL16", np.polynomial.legendre.leggauss(2))
+        monkeypatch.setattr(analytics, "_CHECK_NODES", 2)
         with pytest.raises(ConvergenceError, match="error estimate"):
             p_ek_quadrature(ModelParams(1, 1, 1), 1)
         with pytest.raises(ConvergenceError, match="error estimate"):

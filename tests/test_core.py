@@ -10,6 +10,7 @@ from rcumem.core import (
     DomainError,
     ModelParams,
     RandomSource,
+    _legendre_panels,
     b_k,
     validate,
 )
@@ -234,3 +235,44 @@ class TestRandomSource:
             rs.gamma_int(0, 1.0)
         with pytest.raises(DomainError):
             rs.poisson(-1.0)
+
+
+def _quartic_edges(c: float) -> np.ndarray:
+    """p_ek_quadrature's panel edges: 0, then c * 4^i below 40, then 40."""
+    top = np.ldexp(c, 2 * np.arange(math.ceil((math.log(40.0) - math.log(c)) / math.log(4.0))))
+    return np.concatenate(([0.0], top[top < 40.0], [40.0]))
+
+
+def _dyadic_edges(panels: int) -> np.ndarray:
+    """validation._dyadic_legendre's panel edges: 0, then 2^(1-panels), ..., 1/2, 1."""
+    return np.concatenate(([0.0], np.exp2(np.arange(1.0 - panels, 1.0))))
+
+
+class TestLegendrePanels:
+    EDGES = {
+        "quartic c=1": _quartic_edges(1.0),
+        "quartic c=1e-3": _quartic_edges(1e-3),
+        "quartic c=3e-9": _quartic_edges(3e-9),
+        "dyadic 41": _dyadic_edges(41),
+        "dyadic 61": _dyadic_edges(61),
+    }
+
+    @pytest.mark.parametrize("n", [2, 16, 32])
+    @pytest.mark.parametrize("name", list(EDGES))
+    def test_exact_for_degree_2n_minus_1(self, name, n):
+        edges = self.EDGES[name]
+        t, w = _legendre_panels(edges, n)
+        assert t.shape == w.shape == (len(edges) - 1, n)
+        assert float(w.sum()) == pytest.approx(edges[-1] - edges[0], rel=1e-14, abs=0.0)
+        # q(u) = sum_j c_j u^j, c_j > 0, of degree 2n - 1, has int_0^1 q = sum_j c_j/(j + 1);
+        # positive terms at u >= 0 keep the sums free of cancellation
+        c = RandomSource(n, name).uniform(2 * n) + 0.5
+        unit = math.fsum(c / np.arange(1.0, 2 * n + 1.0))
+        # each panel alone, in its own u = (t - a)/(b - a)
+        a, width = edges[:-1, None], np.diff(edges)[:, None]
+        per_panel = (w * np.polynomial.polynomial.polyval((t - a) / width, c)).sum(axis=1)
+        np.testing.assert_allclose(per_panel, width[:, 0] * unit, rtol=1e-14, atol=0.0)
+        # the whole span, in u = t / span
+        span = edges[-1]
+        whole = float((w * np.polynomial.polynomial.polyval(t / span, c)).sum())
+        assert whole == pytest.approx(span * unit, rel=1e-14, abs=0.0)

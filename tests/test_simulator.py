@@ -8,13 +8,23 @@ import pytest
 from rcumem import simulator
 from rcumem.core import DomainError, ModelParams, RandomSource
 from rcumem.analytics import en_exact
-from rcumem.simulator import (
-    ConfigError,
-    SimConfig,
-    estimate_age_from_polygons,
-    simulate,
-    simulate_n_distribution,
-)
+from rcumem.simulator import ConfigError, SimConfig, simulate
+
+
+def estimate_age_from_polygons(write_times) -> float:
+    """Average age from the sawtooth polygon decomposition of write intervals.
+
+    Each publication's polygon has area W_{n-1}^2/2 + W_{n-1} W_n (the big
+    triangle on W_{n-1}+W_n minus the triangle on W_n); the estimate is the
+    summed area over the summed interval lengths, n >= 2.
+    """
+    w = np.asarray(write_times, dtype=float)
+    if w.ndim != 1 or len(w) < 2:
+        raise DomainError("need at least 2 write intervals")
+    if np.any(w < 0):
+        raise DomainError("write intervals must be nonnegative")
+    q = 0.5 * w[:-1] ** 2 + w[:-1] * w[1:]
+    return float(q.sum() / w[1:].sum())
 
 
 def sawtooth_area(write_times) -> float:
@@ -408,13 +418,14 @@ class TestHistogramMatchesArea:
 
 class TestNDistribution:
     def test_requires_flag(self):
-        with pytest.raises(ConfigError):
-            simulate_n_distribution(ModelParams(1, 1, 1), SimConfig(seed=1, horizon_publications=1000))
+        # without sample_n_distribution no histogram is kept
+        stats = simulate(ModelParams(1, 1, 1), SimConfig(seed=1, horizon_publications=1000))
+        assert stats.n_histogram is None
 
     def test_point_mass_without_readers(self):
-        dist = simulate_n_distribution(
+        dist = simulate(
             ModelParams(1, 0, 1), SimConfig(seed=1, horizon_publications=2000, sample_n_distribution=True)
-        )
+        ).n_histogram
         assert set(dist) == {1}
 
     def test_fast_writer_poisson_mean(self):

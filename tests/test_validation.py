@@ -21,7 +21,6 @@ from rcumem.validation import (
     i4_numeric,
     lemma1_cells,
     lemma1_numeric,
-    mc_lemma1,
     mc_p_ek,
     p_ek_joint_quadrature,
 )
@@ -76,45 +75,45 @@ class TestGammaPdf:
 class TestMcLemma1:
     def test_small_window_is_half(self):
         p = ModelParams(1, 1, 1)
-        est = mc_lemma1(p, 1, 1e-3, 1_000_000, seed=2)
+        est = lemma1_cells(1, [(p, 1e-3)], 1_000_000, seed=2)[0]
         assert est.estimate == pytest.approx(0.5, abs=3.5 * est.std_error + 1e-3)
 
     def test_unit_point_k2(self):
         p = ModelParams(1, 1, 1)
-        est = mc_lemma1(p, 2, 1.0, 1_000_000, seed=3)
+        est = lemma1_cells(2, [(p, 1.0)], 1_000_000, seed=3)[0]
         assert abs(est.estimate - 0.8419698602928606) <= 3.5 * est.std_error
 
     def test_fast_writer(self):
         p = ModelParams(3, 1, 1)
         target = lemma1_epsilon(p, 1, 2.0)
-        est = mc_lemma1(p, 1, 2.0, 1_000_000, seed=4)
+        est = lemma1_cells(1, [(p, 2.0)], 1_000_000, seed=4)[0]
         assert abs(est.estimate - target) <= 3.5 * est.std_error
 
     def test_std_error_bound(self):
-        est = mc_lemma1(ModelParams(1, 1, 1), 1, 1.0, 40_000, seed=5)
+        est = lemma1_cells(1, [(ModelParams(1, 1, 1), 1.0)], 40_000, seed=5)[0]
         assert est.std_error <= 0.5 / math.sqrt(est.samples)
 
     def test_sample_floor(self):
         with pytest.raises(DomainError):
-            mc_lemma1(ModelParams(1, 1, 1), 1, 1.0, 100, seed=1)
+            lemma1_cells(1, [(ModelParams(1, 1, 1), 1.0)], 100, seed=1)
 
     def test_nan_window_rejected(self):
         # every comparison with NaN is false, so a `w <= 0` check lets it through
         with pytest.raises(DomainError):
-            mc_lemma1(ModelParams(1, 1, 1), 1, math.nan, 10_000, 1)
+            lemma1_cells(1, [(ModelParams(1, 1, 1), math.nan)], 10_000, 1)
 
     def test_std_error_near_certainty(self):
         # 1 - p is 3.2e-5, so 2e5 samples expect 6.4 misses; this seed draws 1.
         # The plug-in se sqrt(p(1-p)/n) shrinks with the misses and put it 5.4 se out.
         p = ModelParams(0.5, 1.0, 2.0)
-        est = mc_lemma1(p, 5, 5.0, 200_000, seed=8)
+        est = lemma1_cells(5, [(p, 5.0)], 200_000, seed=8)[0]
         assert round((1.0 - est.estimate) * est.samples) == 1
         assert abs(est.estimate - lemma1_epsilon(p, 5, 5.0)) <= 5.0 * est.std_error
 
 
 # hits of the 81 `rcumem validate` Lemma 1 cells (w, alpha, mu in that loop
-# order) at 20,000 samples and seed 1, each drawn separately by mc_lemma1
-# before the draws were shared
+# order) at 20,000 samples and seed 1, each drawn separately, one cell per
+# call, before the draws were shared
 LEMMA1_HITS = {
     1: [10248, 13581, 16310, 6929, 10489, 13896, 4355, 7257, 10953,
         12124, 15716, 18254, 9574, 13651, 17072, 7439, 11605, 15644,
@@ -139,10 +138,6 @@ class TestLemma1Cells:
     def test_shared_draw_reproduces_separate_draws(self, k):
         ests = lemma1_cells(k, VALIDATE_CELLS, 20_000, seed=1)
         assert [e.estimate for e in ests] == [h / 20_000 for h in LEMMA1_HITS[k]]
-
-    def test_mc_lemma1_is_one_cell(self):
-        p, w = ModelParams(2.0, 1.0, 0.5), 1.0
-        assert mc_lemma1(p, 2, w, 20_000, seed=1) == lemma1_cells(2, [(p, w)], 20_000, seed=1)[0]
 
     @pytest.mark.parametrize("samples", [200_000, 1_000_000])
     def test_memory_does_not_grow_with_samples(self, samples):
