@@ -11,7 +11,12 @@ parts tile the time axis, so N(t) = 1 + #{i : P_{i+1} <= t < G_i}: the
 current copy plus the stale copies whose readers still hold locks, and only
 copies with a late reader have a non-empty extension [P_{i+1}, G_i). Every
 statistic is an integral over these extensions, the readers' [arrival,
-completion) intervals and the sawtooth age, clipped to [warmup, horizon].
+completion) intervals and the sawtooth age, clipped to the measured span.
+By default that span starts at time 0 from a draw of the stationary state
+(the readers in service, the stale copies they lock and the last two
+publications), so no initial transient is left to discard; an explicit
+warmup instead starts the run empty at 0 and measures from the warmup on.
+Either way the span ends at the horizon's last publication.
 Each read is put into the window [P_k, P_{k+1}) it arrives in, by one
 binary search per read or, where a slab has more than twice as many reads
 as publications, by one search per publication among the sorted reads.
@@ -41,8 +46,10 @@ class ConfigError(ValueError):
 class SimConfig:
     """One simulation run: seed, warmup, measurement horizon, CI batching.
 
-    warmup_time=None picks max(100/alpha, 100/mu, 100/lambda) at run time.
-    The horizon is counted in publications after warmup so sweeps over
+    warmup_time=None (the default) starts the run in its stationary state
+    and measures from time 0. An explicit warmup_time, 0.0 included, starts
+    it empty at time 0 and discards [0, warmup_time]. The horizon is
+    counted in publications after the measurement starts, so sweeps over
     alpha have comparable statistical power.
     """
 
@@ -51,7 +58,7 @@ class SimConfig:
     horizon_publications: int = 100_000
     batch_count: int = 20
     sample_n_distribution: bool = False
-    record_updates: int = 0  # keep lifecycle records for this many post-warmup updates
+    record_updates: int = 0  # keep lifecycle records for this many updates published after the warmup
 
     def __post_init__(self):
         for name in ("horizon_publications", "batch_count", "record_updates"):
@@ -95,13 +102,6 @@ class SimStats:
     mean_busy_readers: float
     n_histogram: dict[int, float] | None
     update_records: tuple[UpdateRecord, ...] = ()
-
-
-def _default_warmup(params: ModelParams) -> float:
-    w = max(100.0 / params.alpha, 100.0 / params.mu)
-    if params.lam > 0:
-        w = max(w, 100.0 / params.lam)
-    return w
 
 
 # the standard normal 0.975 quantile
@@ -177,6 +177,50 @@ def _read_windows(pub: np.ndarray, a_t: np.ndarray) -> np.ndarray:
     return np.searchsorted(pub, a_t, side="right") - 1
 
 
+def _stationary_state(params: ModelParams, source: RandomSource) -> tuple:
+    """A draw of the process's state at time 0, in equilibrium.
+
+    Returns (start, origin, arr, comp, open_grace, open_reads): the publish
+    times of the current copy and of the one before it, the arrivals (in
+    order) and completions of the reads in service on the current copy,
+    the grace ends of the stale copies still locked, and every completion
+    of their reads, as simulate carries them from one slab to the next.
+
+    The publications before 0 are a Poisson(alpha) process run backwards:
+    the last two are at -E1 and -(E1 + E2), with E1, E2 ~ Exp(alpha). The
+    reads in service are the M/M/inf queue's stationary state (Kleinrock,
+    Queueing Systems vol. 1): Poisson(lam/mu) of them, each with an Exp(mu)
+    age and an independent Exp(mu) residual hold. A read holds the copy
+    current at its arrival. Two reads adjacent in arrival order hold
+    different copies exactly when a publication falls between them: the
+    one at -(E1 + E2), or one of the epochs before it, of which there is
+    at least one with probability 1 - exp(-alpha * gap). So one uniform per
+    gap stands in for walking every epoch back past the oldest read (about
+    alpha ln(rho) / mu of them), and the cost does not grow with alpha.
+    Draws come in the order E1 and E2, the read count, the ages, the
+    residual holds, the gap uniforms.
+    """
+    alpha = params.alpha
+    e1, e2 = source.exponential(alpha, 2).tolist()
+    start, origin = -e1, -(e1 + e2)
+    n = int(source.poisson(params.lam / params.mu))
+    arr = -source.exponential(params.mu, n)
+    hold = source.exponential(params.mu, n)
+    order = np.argsort(arr)
+    arr, hold = arr[order], hold[order]
+    cur = int(np.searchsorted(arr, start, side="left"))  # reads from `start` on hold the current copy
+    stale = hold[:cur]
+    if cur == 0:
+        return start, origin, arr, hold, stale, stale
+    prev, nxt = arr[: cur - 1], arr[1:cur]
+    u = source.uniform(cur - 1)
+    # an epoch in (prev, nxt]: the one at origin, or one of the Poisson epochs before it
+    gap = np.maximum(np.minimum(nxt, origin) - prev, 0.0)
+    split = ((prev < origin) & (origin <= nxt)) | (u < -np.expm1(-alpha * gap))
+    open_grace = np.maximum.reduceat(stale, np.flatnonzero(np.concatenate(([True], split))))
+    return start, origin, arr[cur:], hold[cur:], open_grace, stale
+
+
 def simulate(params: ModelParams, config: SimConfig) -> SimStats:
     """Simulate until the horizon and return time-averaged statistics.
 
@@ -185,6 +229,14 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
     the sample path does not depend on how the run is cut into slabs. At
     equal times a publication comes before a read arrival, and a read
     arrival before a completion.
+
+    Without a warmup the state at time 0 is _stationary_state's draw from
+    its own stream ("initial"), so the other three keep their draws: the
+    publications after 0 are the "writes" draws summed from 0 and the
+    reads arriving after 0 the "arrivals" draws, as in an empty start. The
+    first slab's window then opens at the current copy's publication, -E1,
+    and its reads begin with those in service on that copy. The stale
+    copies and their reads enter as if carried from an earlier slab.
 
     Reads go to windows by _read_windows: with more than twice as many
     reads as publications in a slab it finds the publications among the
@@ -203,7 +255,7 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
     """
     validate(params)
     alpha, lam, mu = params.alpha, params.lam, params.mu
-    warmup = config.warmup_time if config.warmup_time is not None else _default_warmup(params)
+    warmup = 0.0 if config.warmup_time is None else config.warmup_time
 
     writes = RandomSource(config.seed, "writes")
     arrivals = RandomSource(config.seed, "arrivals")
@@ -224,7 +276,11 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
     open_grace = np.empty(0)  # grace ends after `start` of earlier copies
     open_reads = np.empty(0)  # completions after `start` of earlier reads
     arr = comp = np.empty(0)  # reads drawn that arrive at or after `start`
-    last_arr = 0.0
+    if config.warmup_time is None:
+        start, origin, arr, comp, open_grace, open_reads = _stationary_state(
+            params, RandomSource(config.seed, "initial")
+        )
+    end = last_arr = 0.0  # the publications and the reads after 0 are summed from 0
     pubs = 0
     reads_served = 0
     area_stale = area_age = area_reads = 0.0  # area_stale integrates N(t) - 1
@@ -238,7 +294,8 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
     while not done:
         # pub[k] is the publish time of copy first+k; cumsum adds left to
         # right, so these are the times a one-draw-at-a-time loop reaches
-        pub = np.cumsum(np.concatenate(([start], writes.exponential(alpha, slab))))
+        pub = np.cumsum(np.concatenate(([end], writes.exponential(alpha, slab))))
+        pub[0] = start  # only a stationary start's first slab differs, its copy being published before 0
         k0 = max(1, int(np.searchsorted(pub, warmup, side="right")))  # first post-warmup publication
         if pubs + len(pub) - k0 >= horizon:
             pub = pub[: k0 + horizon - pubs]

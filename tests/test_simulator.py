@@ -108,13 +108,23 @@ class TestSimulate:
 
 
 # SimStats of the one-event-at-a-time heap simulator this package used to
-# ship, on the same (seed, stream) draws. "readers" ends with the copy
-# replaced at the final publication (no readers, so its grace ends then) and
-# a locked copy left open; "fast_writer" has a warmup of ~18 slabs.
+# ship, on the same (seed, stream) draws, from an empty start with a warmup
+# of 100 time units. "readers" ends with the copy replaced at the final
+# publication (no readers, so its grace ends then) and a locked copy left
+# open; "fast_writer" has a warmup of ~18 slabs.
 PATHWISE_CASES = {
-    "readers": ((1, 3, 1), dict(seed=1, horizon_publications=20_000, sample_n_distribution=True, record_updates=20_000)),
-    "no_readers": ((2, 0, 1), dict(seed=3, horizon_publications=5_000, sample_n_distribution=True, record_updates=50)),
-    "fast_writer": ((3000, 10, 1), dict(seed=9, horizon_publications=40_000, sample_n_distribution=True, record_updates=40_000)),
+    "readers": (
+        (1, 3, 1),
+        dict(seed=1, warmup_time=100.0, horizon_publications=20_000, sample_n_distribution=True, record_updates=20_000),
+    ),
+    "no_readers": (
+        (2, 0, 1),
+        dict(seed=3, warmup_time=100.0, horizon_publications=5_000, sample_n_distribution=True, record_updates=50),
+    ),
+    "fast_writer": (
+        (3000, 10, 1),
+        dict(seed=9, warmup_time=100.0, horizon_publications=40_000, sample_n_distribution=True, record_updates=40_000),
+    ),
 }
 PATHWISE_GOLDEN = {
     "readers": {
@@ -255,6 +265,12 @@ SLAB_CASES = {
         (1, 2, 1),
         {"seed": 3, "horizon_publications": 20_000, "sample_n_distribution": True, "record_updates": 20_005},
     ),
+    # a stationary start at alpha >> mu: the stale copies locked at time 0 stay locked for
+    # about 1/mu = 3,000 publications, so they are carried across many slabs of 63
+    "stationary_fast_writer": (
+        (3000, 10, 1),
+        {"seed": 3, "horizon_publications": 20_000, "sample_n_distribution": True, "record_updates": 20_005},
+    ),
 }
 
 
@@ -292,6 +308,64 @@ class TestSlabIndependence:
         monkeypatch.setattr(simulator, "_SLAB_EVENTS", slab_events)
         simulate(ModelParams(*params), SimConfig(**kw))
         assert any(above) and not all(above)
+
+
+# the shared-deadline E[N] = 1 + (alpha/mu) int_0^1 Ein(rho (1 - v^(mu/alpha))) dv at (alpha, lam, mu),
+# as perfbench/judge.py's en_shared computes it
+EN_SHARED = {(3000, 10, 1): 10.980054635479926, (100, 1, 1): 1.985276772316742}
+
+
+def _z(values, target):
+    """(mean - target) / standard error over independent values."""
+    values = np.asarray(values, dtype=float)
+    return (values.mean() - target) / (values.std(ddof=1) / math.sqrt(len(values)))
+
+
+class TestStationaryStart:
+    """Without a warmup the run starts from an exact draw of its equilibrium state."""
+
+    @pytest.mark.parametrize("params", sorted(EN_SHARED))
+    def test_sampler_matches_stationary_means(self, params):
+        source = RandomSource(11, "initial")
+        n, readers = [], []
+        for _ in range(20_000):
+            start, origin, arr, comp, open_grace, open_reads = simulator._stationary_state(ModelParams(*params), source)
+            assert origin < start < 0.0
+            assert np.all(np.diff(arr) >= 0.0) and np.all((start <= arr) & (arr < 0.0)) and np.all(comp > 0.0)
+            assert len(open_grace) <= len(open_reads) and set(open_grace) <= set(open_reads)
+            n.append(1 + len(open_grace))
+            readers.append(len(arr) + len(open_reads))
+        assert abs(_z(n, EN_SHARED[params])) < 4.0
+        assert abs(_z(readers, params[1] / params[2])) < 4.0
+
+    def test_sampler_cost_does_not_grow_with_alpha(self):
+        # at alpha = 1e15 each read in service has seen about 1e15 publications since it
+        # arrived, yet the draw takes one uniform per gap: every read holds its own stale copy
+        source = RandomSource(12, "initial")
+        for _ in range(200):
+            _, _, arr, _, open_grace, open_reads = simulator._stationary_state(ModelParams(1e15, 10, 1), source)
+            assert len(arr) == 0 and np.array_equal(np.sort(open_grace), np.sort(open_reads))
+
+    @pytest.mark.parametrize("params", sorted(EN_SHARED))
+    def test_unbiased_at_smallest_horizon(self, params):
+        def means(warmup):
+            return [
+                simulate(
+                    ModelParams(*params), SimConfig(seed=seed, warmup_time=warmup, horizon_publications=1000)
+                ).mean_active_updates
+                for seed in range(1, 401)
+            ]
+
+        assert abs(_z(means(None), EN_SHARED[params])) < 4.0
+        # an empty start at time 0 is visibly biased low over the same seeds
+        assert _z(means(0.0), EN_SHARED[params]) < -4.0
+
+    def test_reads_in_service_at_zero_are_served(self):
+        # lam/mu = 10 reads in service at 0 and about 3 arrivals in the 1/3 time unit measured
+        stats = simulate(ModelParams(3000, 10, 1), SimConfig(seed=4, horizon_publications=1000))
+        empty = simulate(ModelParams(3000, 10, 1), SimConfig(seed=4, warmup_time=0.0, horizon_publications=1000))
+        assert stats.reads_served > empty.reads_served
+        assert stats.mean_busy_readers > 5.0 > empty.mean_busy_readers
 
 
 def _windows_by_loop(pub, reads):
