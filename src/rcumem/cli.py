@@ -106,7 +106,6 @@ def cmd_simulate(args) -> int:
         row = _analytic_row(p)
         config = SimConfig(
             seed=seed,
-            warmup_time=args.warmup,
             horizon_publications=args.publications,
             batch_count=args.batches,
             sample_n_distribution=args.histogram,
@@ -261,10 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_grid_flags(sp)
     sp.add_argument("--seed", type=int, default=1, help="base seed")
     sp.add_argument("--publications", type=int, default=100_000, help="measured publications per point")
-    sp.add_argument(
-        "--warmup", type=float, default=None,
-        help="start empty and discard this much time (default: start in the stationary state, no warmup)",
-    )
     sp.add_argument("--batches", type=int, default=20, help="batch count for CIs")
     sp.add_argument("--check", action="store_true", help="exit 1 if simulation and analysis disagree")
     sp.add_argument("--histogram", action="store_true", help="also emit the time-weighted N distribution")

@@ -12,11 +12,10 @@ current copy plus the stale copies whose readers still hold locks, and only
 copies with a late reader have a non-empty extension [P_{i+1}, G_i). Every
 statistic is an integral over these extensions, the readers' [arrival,
 completion) intervals and the sawtooth age, clipped to the measured span.
-By default that span starts at time 0 from a draw of the stationary state
-(the readers in service, the stale copies they lock and the last two
-publications), so no initial transient is left to discard; an explicit
-warmup instead starts the run empty at 0 and measures from the warmup on.
-Either way the span ends at the horizon's last publication.
+That span starts at time 0 from a draw of the stationary state (the
+readers in service, the stale copies they lock and the last two
+publications), so no initial transient is left to discard, and it ends at
+the horizon's last publication.
 Each read is put into the window [P_k, P_{k+1}) it arrives in, by one
 binary search per read or, where a slab has more than twice as many reads
 as publications, by one search per publication among the sorted reads.
@@ -44,21 +43,18 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation run: seed, warmup, measurement horizon, CI batching.
+    """One simulation run: seed, measurement horizon, CI batching.
 
-    warmup_time=None (the default) starts the run in its stationary state
-    and measures from time 0. An explicit warmup_time, 0.0 included, starts
-    it empty at time 0 and discards [0, warmup_time]. The horizon is
-    counted in publications after the measurement starts, so sweeps over
-    alpha have comparable statistical power.
+    The run starts in its stationary state and measures from time 0. The
+    horizon is counted in publications after time 0, so sweeps over alpha
+    have comparable statistical power.
     """
 
     seed: int = 1
-    warmup_time: float | None = None
     horizon_publications: int = 100_000
     batch_count: int = 20
     sample_n_distribution: bool = False
-    record_updates: int = 0  # keep lifecycle records for this many updates published after the warmup
+    record_updates: int = 0  # keep lifecycle records for this many updates published after time 0
 
     def __post_init__(self):
         for name in ("horizon_publications", "batch_count", "record_updates"):
@@ -73,9 +69,6 @@ class SimConfig:
             raise ConfigError(
                 f"batch_count must be <= horizon_publications ({self.horizon_publications}), got {self.batch_count}"
             )
-        # NaN fails both comparisons, and an infinite warmup would draw publications forever
-        if self.warmup_time is not None and not 0 <= self.warmup_time < math.inf:
-            raise ConfigError(f"warmup_time must be finite and >= 0, got {self.warmup_time}")
         if self.record_updates < 0:
             raise ConfigError(f"record_updates must be >= 0, got {self.record_updates}")
 
@@ -230,13 +223,14 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
     equal times a publication comes before a read arrival, and a read
     arrival before a completion.
 
-    Without a warmup the state at time 0 is _stationary_state's draw from
-    its own stream ("initial"), so the other three keep their draws: the
-    publications after 0 are the "writes" draws summed from 0 and the
-    reads arriving after 0 the "arrivals" draws, as in an empty start. The
-    first slab's window then opens at the current copy's publication, -E1,
-    and its reads begin with those in service on that copy. The stale
-    copies and their reads enter as if carried from an earlier slab.
+    The state at time 0 is _stationary_state's draw from its own stream
+    ("initial"), so the other three keep their draws: the publications
+    after 0 are the "writes" draws summed from 0, one per publication
+    measured, and the reads arriving after 0 are the "arrivals" draws. The
+    first slab's window opens at the current copy's publication, -E1, and
+    is measured from 0; its reads begin with those in service on that copy.
+    The stale copies and their reads enter as if carried from an earlier
+    slab, and every later slab starts at the previous one's end.
 
     Reads go to windows by _read_windows: with more than twice as many
     reads as publications in a slab it finds the publications among the
@@ -255,7 +249,6 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
     """
     validate(params)
     alpha, lam, mu = params.alpha, params.lam, params.mu
-    warmup = 0.0 if config.warmup_time is None else config.warmup_time
 
     writes = RandomSource(config.seed, "writes")
     arrivals = RandomSource(config.seed, "arrivals")
@@ -271,17 +264,13 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
     hist_cap = 1 + math.ceil(10.0 * lam / mu) + 20
     hist = np.zeros(hist_cap + 1)
 
-    first = 0  # index of the copy current at the slab's start
-    origin = start = 0.0  # publish times of the copy before it and of it
-    open_grace = np.empty(0)  # grace ends after `start` of earlier copies
-    open_reads = np.empty(0)  # completions after `start` of earlier reads
-    arr = comp = np.empty(0)  # reads drawn that arrive at or after `start`
-    if config.warmup_time is None:
-        start, origin, arr, comp, open_grace, open_reads = _stationary_state(
-            params, RandomSource(config.seed, "initial")
-        )
+    # start and origin: the publish times of the copy current at the slab's start and of
+    # the one before it; open_grace and open_reads: the grace ends of earlier copies and
+    # the completions of earlier reads after `start`; arr and comp: the reads drawn that
+    # arrive at or after `start`
+    start, origin, arr, comp, open_grace, open_reads = _stationary_state(params, RandomSource(config.seed, "initial"))
     end = last_arr = 0.0  # the publications and the reads after 0 are summed from 0
-    pubs = 0
+    pubs = 0  # publications after 0 so far, and the index of the copy current at the slab's start
     reads_served = 0
     area_stale = area_age = area_reads = 0.0  # area_stale integrates N(t) - 1
     snap_stale: list[float] = []
@@ -292,17 +281,13 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
 
     done = False
     while not done:
-        # pub[k] is the publish time of copy first+k; cumsum adds left to
+        n_new = min(slab, horizon - pubs)
+        done = pubs + n_new == horizon
+        # pub[k] is the publish time of copy pubs+k; cumsum adds left to
         # right, so these are the times a one-draw-at-a-time loop reaches
-        pub = np.cumsum(np.concatenate(([end], writes.exponential(alpha, slab))))
-        pub[0] = start  # only a stationary start's first slab differs, its copy being published before 0
-        k0 = max(1, int(np.searchsorted(pub, warmup, side="right")))  # first post-warmup publication
-        if pubs + len(pub) - k0 >= horizon:
-            pub = pub[: k0 + horizon - pubs]
-            done = True
-        n_new = len(pub) - k0
+        pub = np.cumsum(np.concatenate(([end], writes.exponential(alpha, n_new))))
+        pub[0] = start  # the first slab's copy was published before 0
         end = pub[-1]
-        stop = end if done else math.inf
 
         if lam > 0:
             while len(arr) == 0 or arr[-1] < end:
@@ -321,68 +306,64 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
 
         g_end = np.concatenate((open_grace, grace[ext]))
         r_end = np.concatenate((open_reads, c_t))
-        lo = max(start, warmup)
-        if end > lo:
-            # N(t) - 1 counts the extensions: copy first+k's on [pub[k+1], grace[k]),
-            # and a copy carried from an earlier slab's on [start, its grace end)
-            xs = np.maximum(np.concatenate((np.full(len(open_grace), start), pub[1:][ext])), lo)
-            xe = np.minimum(g_end, end)
-            held = xe > xs
-            xs, xe = xs[held], xe[held]
-            if want_hist:
-                # xs is in publish order, so the stable sort merges two sorted runs;
-                # at equal times a start comes before a stop
-                times = np.concatenate((xs, np.sort(xe)))
-                order = np.argsort(times, kind="stable")
-                level = np.cumsum(np.where(order < len(xs), 1, -1)) + 1
-                dur = np.diff(np.concatenate(([lo], times[order], [end])))
-                hist += np.bincount(
-                    np.minimum(np.concatenate(([1], level)), hist_cap), weights=dur, minlength=hist_cap + 1
-                )
+        lo = max(start, 0.0)  # the measurement starts at 0, inside the first slab's window
+        # N(t) - 1 counts the extensions: copy pubs+k's on [pub[k+1], grace[k]),
+        # and a copy carried from an earlier slab's on [start, its grace end)
+        xs = np.maximum(np.concatenate((np.full(len(open_grace), start), pub[1:][ext])), lo)
+        xe = np.minimum(g_end, end)
+        held = xe > xs
+        xs, xe = xs[held], xe[held]
+        if want_hist:
+            # xs is in publish order, so the stable sort merges two sorted runs;
+            # at equal times a start comes before a stop
+            times = np.concatenate((xs, np.sort(xe)))
+            order = np.argsort(times, kind="stable")
+            level = np.cumsum(np.where(order < len(xs), 1, -1)) + 1
+            dur = np.diff(np.concatenate(([lo], times[order], [end])))
+            hist += np.bincount(
+                np.minimum(np.concatenate(([1], level)), hist_cap), weights=dur, minlength=hist_cap + 1
+            )
 
-            # sawtooth age: while copy first+k is current, its age runs from pub[k-1]; over the
-            # windows from i0, the one holding lo, each starts at the whole previous window's length
-            i0 = k0 - 1
-            dt = np.diff(pub[i0:])
-            age = np.concatenate(([lo - (pub[i0 - 1] if i0 else origin)], dt[:-1]))
-            dt[0] = pub[i0 + 1] - lo
-            area = (age + 0.5 * dt) * dt
+        # sawtooth age: while copy pubs+k is current, its age runs from pub[k-1] (from
+        # origin for k = 0), so each window after the first starts at the previous one's length
+        dt = np.diff(pub)
+        age = np.concatenate(([lo - origin], dt[:-1]))
+        dt[0] = pub[1] - lo
+        area = (age + 0.5 * dt) * dt
 
-            r_start = np.maximum(np.concatenate((np.full(len(open_reads), start), a_t)), lo)
-            area_reads += float(np.maximum(np.minimum(r_end, end) - r_start, 0.0).sum())
-            ended = r_end[r_end <= end]
-            reads_served += int(np.count_nonzero((ended > warmup) & (ended < stop)))
+        r_start = np.maximum(np.concatenate((np.full(len(open_reads), start), a_t)), lo)
+        area_reads += float(np.maximum(np.minimum(r_end, end) - r_start, 0.0).sum())
+        # a read is served when it completes; at the horizon's end it is still held
+        reads_served += int(np.count_nonzero(r_end < end if done else r_end <= end))
 
-            # batch boundaries are publication times, so both areas are exact there; a
-            # boundary's offset from i0 ends a segment of age windows, and one at the
-            # slab's last publication ends an empty last segment, which reduceat rejects
-            off = boundaries[(boundaries > pubs) & (boundaries <= pubs + n_new)] - pubs
-            tau = pub[i0 + off]
-            snap_stale.extend(area_stale + float(np.maximum(np.minimum(xe, t) - xs, 0.0).sum()) for t in tau.tolist())
-            cum_age = np.cumsum(np.add.reduceat(area, np.concatenate(([0], off[off < len(area)]))))
-            snap_age.extend((area_age + cum_age[: len(off)]).tolist())
-            snap_t.extend(tau.tolist())
-            area_stale += float((xe - xs).sum())
-            area_age += float(cum_age[-1])
+        # batch boundaries are publication times, so both areas are exact there; a
+        # boundary's offset ends a segment of age windows, and one at the slab's
+        # last publication ends an empty last segment, which reduceat rejects
+        off = boundaries[(boundaries > pubs) & (boundaries <= pubs + n_new)] - pubs
+        tau = pub[off]
+        snap_stale.extend(area_stale + float(np.maximum(np.minimum(xe, t) - xs, 0.0).sum()) for t in tau.tolist())
+        cum_age = np.cumsum(np.add.reduceat(area, np.concatenate(([0], off[off < len(area)]))))
+        snap_age.extend((area_age + cum_age[: len(off)]).tolist())
+        snap_t.extend(tau.tolist())
+        area_stale += float((xe - xs).sum())
+        area_age += float(cum_age[-1])
 
         if rec_left > 0:
-            ks = np.flatnonzero(pub[:-1] > warmup)[:rec_left]
-            if len(ks):
-                late = c_t >= pub[win + 1]
-                residual = np.bincount(win[late], minlength=len(pub) - 1)
-                recs.append((first + ks, pub[ks], pub[ks + 1], residual[ks], grace[ks]))
-                rec_left -= len(ks)
+            ks = np.arange(int(pubs == 0), n_new)[:rec_left]  # the copy current at 0 was published before it
+            late = c_t >= pub[win + 1]
+            residual = np.bincount(win[late], minlength=n_new)
+            recs.append((pubs + ks, pub[ks], pub[ks + 1], residual[ks], grace[ks]))
+            rec_left -= len(ks)
 
         open_grace = g_end[g_end > end]
         open_reads = r_end[r_end > end]
         pubs += n_new
-        first += len(pub) - 1
         origin, start = float(pub[-2]), float(end)
 
-    total_t = start - warmup
+    total_t = start  # the measurement runs from 0 to the last publication
     starts_stale = np.concatenate(([0.0], snap_stale[:-1]))
     starts_age = np.concatenate(([0.0], snap_age[:-1]))
-    starts_t = np.concatenate(([warmup], snap_t[:-1]))
+    starts_t = np.concatenate(([0.0], snap_t[:-1]))
     durs = np.asarray(snap_t) - starts_t
     tq = _t975(nb - 1)
     ci_n = _batch_ci(np.asarray(snap_stale) - starts_stale, durs, tq)
@@ -399,7 +380,7 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
         for i, p, r, n, g in zip(*cols)
     ]
     if rec_left > 0:
-        records.append(UpdateRecord(first, start, None, 0, None))
+        records.append(UpdateRecord(pubs, start, None, 0, None))
 
     return SimStats(
         mean_active_updates=1.0 + area_stale / total_t,

@@ -1,3 +1,4 @@
+import heapq
 import math
 import tracemalloc
 from collections import Counter
@@ -46,10 +47,7 @@ class TestSimConfig:
         [
             {"horizon_publications": 999},
             {"batch_count": 9},
-            {"warmup_time": -1.0},
             {"horizon_publications": 1000, "batch_count": 1001},
-            {"warmup_time": math.nan},
-            {"warmup_time": math.inf},
             {"horizon_publications": 1000.5},
             {"batch_count": 10.5},
             {"record_updates": 2.5},
@@ -59,6 +57,11 @@ class TestSimConfig:
     def test_invalid(self, kw):
         with pytest.raises(ConfigError):
             SimConfig(**kw)
+
+    def test_no_warmup_field(self):
+        # every run starts in its stationary state; a warmup is refused, not ignored
+        with pytest.raises(TypeError):
+            SimConfig(warmup_time=100.0)
 
 
 class TestSimulate:
@@ -107,138 +110,166 @@ class TestSimulate:
                 assert r.grace_end_time == r.replace_time
 
 
-# SimStats of the one-event-at-a-time heap simulator this package used to
-# ship, on the same (seed, stream) draws, from an empty start with a warmup
-# of 100 time units. "readers" ends with the copy replaced at the final
-# publication (no readers, so its grace ends then) and a locked copy left
-# open; "fast_writer" has a warmup of ~18 slabs.
+def _event_loop(params, config):
+    """simulate's SimStats by one event at a time, and how many reads in service at 0 complete.
+
+    The state at 0 is _stationary_state's draw; after it the publications,
+    read arrivals and completions go through one heap, and the "writes",
+    "arrivals" and "services" streams are drawn one variate at a time. At
+    equal times a publication comes first, then an arrival, then a
+    completion. The run stops at the horizon's last publication, so a read
+    completing then is not served and its copy has no grace end yet.
+    """
+    alpha, lam, mu = params
+    source = simulator.RandomSource  # looked up per call, so a test can swap the stream class
+    start, origin, arr, comp, open_grace, open_reads = simulator._stationary_state(
+        ModelParams(*params), source(config.seed, "initial")
+    )
+    writes = source(config.seed, "writes")
+    arrivals = source(config.seed, "arrivals")
+    services = source(config.seed, "services")
+    horizon, nb = config.horizon_publications, config.batch_count
+    boundaries = {((i + 1) * horizon) // nb for i in range(nb)}
+
+    PUB, ARRIVE, DONE = 0, 1, 2
+    heap, seq = [], 0
+
+    def push(t, kind, copy=None):
+        nonlocal seq
+        heapq.heappush(heap, (float(t), kind, seq, copy))
+        seq += 1
+
+    # copy 0 is current at 0; a completion's copy is None for a read on a stale copy of the draw,
+    # and -1 for the end of such a copy's grace period, since the draw does not say which reads it holds
+    cur, born = 0, origin  # the current copy, and the publish time of the one before it
+    publish, replace, residual, grace = {0: start}, {}, {}, {}
+    locks = {0: len(arr)}
+    for c in comp:
+        push(c, DONE, 0)
+    for c in open_reads:
+        push(c, DONE, None)
+    for g in open_grace:
+        push(g, DONE, -1)
+    stale, busy = len(open_grace), len(arr) + len(open_reads)
+    push(writes.exponential(alpha), PUB)
+    if lam > 0:
+        push(arrivals.exponential(lam), ARRIVE)
+
+    now = 0.0
+    area_stale = area_age = area_busy = 0.0
+    hist = Counter()
+    snaps = [(0.0, 0.0, 0.0)]
+    pubs = served = 0
+    while True:
+        t, kind, _, copy = heapq.heappop(heap)
+        dt = t - now
+        area_stale += stale * dt
+        area_age += (now - born + 0.5 * dt) * dt
+        area_busy += busy * dt
+        hist[1 + stale] += dt
+        now = t
+        if kind == PUB:
+            pubs += 1
+            replace[cur], residual[cur] = t, locks[cur]
+            if locks[cur]:
+                stale += 1
+            else:
+                grace[cur] = t
+            born, cur = publish[cur], pubs
+            publish[cur], locks[cur] = t, 0
+            if pubs in boundaries:
+                snaps.append((area_stale, area_age, t))
+            if pubs == horizon:
+                break
+            push(t + writes.exponential(alpha), PUB)
+        elif kind == ARRIVE:
+            locks[cur] += 1
+            busy += 1
+            push(t + services.exponential(mu), DONE, cur)
+            push(t + arrivals.exponential(lam), ARRIVE)
+        elif copy == -1:
+            stale -= 1
+        else:
+            busy -= 1
+            served += 1
+            if copy is not None:
+                locks[copy] -= 1
+                if copy != cur and locks[copy] == 0:
+                    stale -= 1
+                    grace[copy] = t
+
+    served_at_zero = int(np.count_nonzero(np.concatenate((comp, open_reads)) < now))
+    snaps = np.array(snaps)
+    means = np.diff(snaps[:, :2], axis=0) / np.diff(snaps[:, 2])[:, None]
+    ci_n, ci_age = simulator._t975(nb - 1) * means.std(axis=0, ddof=1) / math.sqrt(nb)
+    records = [
+        simulator.UpdateRecord(k, publish[k], replace[k], residual[k], grace.get(k))
+        for k in range(1, min(config.record_updates + 1, horizon))
+    ]
+    if config.record_updates >= horizon:
+        records.append(simulator.UpdateRecord(horizon, now, None, 0, None))
+    stats = simulator.SimStats(
+        mean_active_updates=1.0 + area_stale / now,
+        mean_age=area_age / now,
+        ci_half_width_n=float(ci_n),
+        ci_half_width_age=float(ci_age),
+        publications=pubs,
+        reads_served=served,
+        mean_busy_readers=area_busy / now,
+        n_histogram={n: w / now for n, w in sorted(hist.items()) if w > 0} if config.sample_n_distribution else None,
+        update_records=tuple(records),
+    )
+    return stats, served_at_zero
+
+
+class _GridSource(RandomSource):
+    """A RandomSource whose exponentials are rounded up to multiples of 1/8, so event times tie often."""
+
+    def exponential(self, rate, size=None):
+        return np.ceil(super().exponential(rate, size) * 8.0) / 8.0
+
+
+# (params, config, _SLAB_EVENTS or None for the default, stream class); every case keeps
+# 20,000 publications or fewer, since the reference takes about 1 s per 1e5 events
 PATHWISE_CASES = {
-    "readers": (
-        (1, 3, 1),
-        dict(seed=1, warmup_time=100.0, horizon_publications=20_000, sample_n_distribution=True, record_updates=20_000),
-    ),
-    "no_readers": (
-        (2, 0, 1),
-        dict(seed=3, warmup_time=100.0, horizon_publications=5_000, sample_n_distribution=True, record_updates=50),
-    ),
+    "readers": ((1, 3, 1), dict(seed=1, horizon_publications=20_000, record_updates=20_000), None, RandomSource),
+    "no_readers": ((2, 0, 1), dict(seed=3, horizon_publications=5_000, record_updates=50), None, RandomSource),
+    # about 10 reads in service at 0 and 67 arrivals over the run's 6.7 time units
     "fast_writer": (
-        (3000, 10, 1),
-        dict(seed=9, warmup_time=100.0, horizon_publications=40_000, sample_n_distribution=True, record_updates=40_000),
+        (3000, 10, 1), dict(seed=9, horizon_publications=20_000, record_updates=20_000), None, RandomSource
     ),
+    # slabs of 63 publications: the stale copies locked at 0 are carried across many of them
+    "fast_writer_small_slabs": (
+        (3000, 10, 1), dict(seed=9, horizon_publications=20_000, record_updates=20_000), 64, RandomSource
+    ),
+    "read_heavy": ((0.5, 10, 1), dict(seed=4, horizon_publications=2_000, record_updates=2_000), None, RandomSource),
+    # one slab, shorter than the default; the records stop one copy short of the horizon's last
+    "short_horizon": ((100, 1, 1), dict(seed=2, horizon_publications=1_000, record_updates=999), None, RandomSource),
+    # publications, arrivals and completions on a 1/8 grid, so the tie order decides windows and
+    # residuals; about 2 reads per publication in slabs of 64 events take both _read_windows branches,
+    # and at seed 7 a read completes at the last publication, so it is not served
+    "ties": ((1, 2, 1), dict(seed=7, horizon_publications=5_000, record_updates=5_000), 64, _GridSource),
 }
-PATHWISE_GOLDEN = {
-    "readers": {
-        "mean_active_updates": 2.005677885491068,
-        "mean_age": 1.9990237659488583,
-        "ci_half_width_n": 0.02213016333821433,
-        "ci_half_width_age": 0.043540868701212744,
-        "publications": 20000,
-        "reads_served": 60010,
-        "mean_busy_readers": 3.017363015822356,
-        "n_histogram": {
-            1: 0.3203519247823733, 2: 0.4214079001328472, 3: 0.2003745684568375, 4: 0.04894885267822326,
-            5: 0.008025159142179808, 6: 0.0007818263255940269, 7: 0.0001038571603991455,
-            8: 5.911321545809523e-06,
-        },
-        "indices": (104, 20103),
-        "residuals": {0: 6333, 1: 5384, 2: 3792, 3: 2298, 4: 1266, 5: 572, 6: 231, 7: 86, 8: 30, 9: 7, 10: 1},
-        "index_residual_sum": 302282780,
-        "open_grace": [20100, 20103],
-        "publish_sum": 201420369.31950733,
-        "grace_sum": 201420276.29465446,
-        "tail": [
-            (20102, 19980.608866872302, 19980.72697740833, 0, 19980.72697740833),
-            (20103, 19980.72697740833, None, 0, None),
-        ],
-    },
-    "no_readers": {
-        "mean_active_updates": 1.0,
-        "mean_age": 1.0117435733184166,
-        "ci_half_width_n": 0.0,
-        "ci_half_width_age": 0.03677493492954838,
-        "publications": 5000,
-        "reads_served": 0,
-        "mean_busy_readers": 0.0,
-        "n_histogram": {1: 1.0},
-        "indices": (206, 255),
-        "residuals": {0: 50},
-        "index_residual_sum": 0,
-        "open_grace": [],
-        "publish_sum": 5456.967670655919,
-        "grace_sum": 5475.993545992277,
-        "tail": [
-            (254, 118.89178830735665, 119.0441892876122, 0, 119.0441892876122),
-            (255, 119.0441892876122, 119.20699688012127, 0, 119.20699688012127),
-        ],
-    },
-    "fast_writer": {
-        "mean_active_updates": 9.309931183601272,
-        "mean_age": 0.0006691058256375758,
-        "ci_half_width_n": 1.0099776646501002,
-        "ci_half_width_age": 9.949421923703294e-06,
-        "publications": 40000,
-        "reads_served": 133,
-        "mean_busy_readers": 8.372789238774033,
-        "n_histogram": {
-            4: 0.025942992557189678, 5: 0.03359633066608251, 6: 0.07990914353739945, 7: 0.09823075501860525,
-            8: 0.12503914108341008, 9: 0.18163812648604166, 10: 0.12934315912251082, 11: 0.13777744732019662,
-            12: 0.09687215079953758, 13: 0.0425351852585134, 14: 0.027648375486625614,
-            15: 0.01890792249154031, 16: 0.002559270172347032,
-        },
-        "indices": (299893, 339892),
-        "residuals": {0: 39875, 1: 124, 2: 1},
-        "index_residual_sum": 40179627,
-        "open_grace": [333390, 334637, 336067, 336713, 338566, 339892],
-        "publish_sum": 4268878.122058921,
-        "grace_sum": 4268314.225237049,
-        "tail": [
-            (339891, 113.45130541925481, 113.45130878387663, 0, 113.45130878387663),
-            (339892, 113.45130878387663, None, 0, None),
-        ],
-    },
-}
-
-
-def _pathwise_digest(stats):
-    recs = stats.update_records
-    return {
-        "mean_active_updates": stats.mean_active_updates,
-        "mean_age": stats.mean_age,
-        "ci_half_width_n": stats.ci_half_width_n,
-        "ci_half_width_age": stats.ci_half_width_age,
-        "publications": stats.publications,
-        "reads_served": stats.reads_served,
-        "mean_busy_readers": stats.mean_busy_readers,
-        "n_histogram": stats.n_histogram,
-        "indices": (recs[0].index, recs[-1].index),
-        "residuals": dict(sorted(Counter(r.residual_readers for r in recs).items())),
-        "index_residual_sum": sum(r.index * r.residual_readers for r in recs),
-        "open_grace": [r.index for r in recs if r.grace_end_time is None],
-        "publish_sum": math.fsum(r.publish_time for r in recs),
-        "grace_sum": math.fsum(r.grace_end_time for r in recs if r.grace_end_time is not None),
-        "tail": [tuple(r.__dict__.values()) for r in recs[-2:]],
-    }
 
 
 class TestPathwise:
     @pytest.mark.parametrize("name", sorted(PATHWISE_CASES))
-    def test_matches_event_loop(self, name):
-        params, kw = PATHWISE_CASES[name]
-        stats = simulate(ModelParams(*params), SimConfig(**kw))
-        recs = stats.update_records
-        assert [r.index for r in recs] == list(range(recs[0].index, recs[-1].index + 1))
-        got, want = _pathwise_digest(stats), PATHWISE_GOLDEN[name]
-        assert got.keys() == want.keys()
-        for key, value in want.items():
-            if key == "n_histogram":
-                assert list(got[key]) == list(value)
-                assert got[key] == pytest.approx(value, rel=1e-9)
-            elif key == "tail":
-                assert got[key] == [pytest.approx(r, rel=1e-9) for r in value]
-            elif isinstance(value, float):
-                assert got[key] == pytest.approx(value, rel=1e-9), key
-            else:
-                assert got[key] == value, key
+    def test_matches_event_loop(self, name, monkeypatch):
+        params, kw, slab_events, source = PATHWISE_CASES[name]
+        monkeypatch.setattr(simulator, "RandomSource", source)
+        if slab_events is not None:
+            monkeypatch.setattr(simulator, "_SLAB_EVENTS", slab_events)
+        config = SimConfig(sample_n_distribution=True, **kw)
+        got = simulate(ModelParams(*params), config)
+        want, served_at_zero = _event_loop(params, config)
+        # the reads in service at 0 count toward reads_served
+        assert (served_at_zero > 0) == (params[1] > 0)
+        for field in ("mean_active_updates", "mean_age", "ci_half_width_n", "ci_half_width_age", "mean_busy_readers"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9, abs=0.0), field
+        assert (got.publications, got.reads_served) == (want.publications, want.reads_served)
+        assert list(got.n_histogram) == list(want.n_histogram)
+        assert got.n_histogram == pytest.approx(want.n_histogram, rel=1e-9, abs=0.0)
+        assert got.update_records == want.update_records
 
     def test_memory_flat_in_horizon(self):
         def peak(horizon):
@@ -270,6 +301,11 @@ SLAB_CASES = {
     "stationary_fast_writer": (
         (3000, 10, 1),
         {"seed": 3, "horizon_publications": 20_000, "sample_n_distribution": True, "record_updates": 20_005},
+    ),
+    # a horizon shorter than one default slab of 16,221 publications
+    "short_horizon": (
+        (100, 1, 1),
+        {"seed": 3, "horizon_publications": 1_000, "sample_n_distribution": True, "record_updates": 1_005},
     ),
 }
 
@@ -310,6 +346,23 @@ class TestSlabIndependence:
         assert any(above) and not all(above)
 
 
+class TestWriteDraws:
+    """A run draws one "writes" variate per measured publication, however the slabs fall."""
+
+    @pytest.mark.parametrize("params,horizon", [((100, 1, 1), 1_000), ((1, 3, 1), 10_000), ((1e-3, 5, 1), 1_000)])
+    def test_one_variate_per_publication(self, params, horizon, monkeypatch):
+        drawn = Counter()
+        exponential = RandomSource.exponential
+
+        def counting(self, rate, size=None):
+            drawn[self.stream] += 1 if size is None else size
+            return exponential(self, rate, size)
+
+        monkeypatch.setattr(RandomSource, "exponential", counting)
+        simulate(ModelParams(*params), SimConfig(seed=1, horizon_publications=horizon))
+        assert drawn["writes"] == horizon
+
+
 # the shared-deadline E[N] = 1 + (alpha/mu) int_0^1 Ein(rho (1 - v^(mu/alpha))) dv at (alpha, lam, mu),
 # as perfbench/judge.py's en_shared computes it
 EN_SHARED = {(3000, 10, 1): 10.980054635479926, (100, 1, 1): 1.985276772316742}
@@ -322,7 +375,7 @@ def _z(values, target):
 
 
 class TestStationaryStart:
-    """Without a warmup the run starts from an exact draw of its equilibrium state."""
+    """The run starts from an exact draw of its equilibrium state."""
 
     @pytest.mark.parametrize("params", sorted(EN_SHARED))
     def test_sampler_matches_stationary_means(self, params):
@@ -348,24 +401,11 @@ class TestStationaryStart:
 
     @pytest.mark.parametrize("params", sorted(EN_SHARED))
     def test_unbiased_at_smallest_horizon(self, params):
-        def means(warmup):
-            return [
-                simulate(
-                    ModelParams(*params), SimConfig(seed=seed, warmup_time=warmup, horizon_publications=1000)
-                ).mean_active_updates
-                for seed in range(1, 401)
-            ]
-
-        assert abs(_z(means(None), EN_SHARED[params])) < 4.0
-        # an empty start at time 0 is visibly biased low over the same seeds
-        assert _z(means(0.0), EN_SHARED[params]) < -4.0
-
-    def test_reads_in_service_at_zero_are_served(self):
-        # lam/mu = 10 reads in service at 0 and about 3 arrivals in the 1/3 time unit measured
-        stats = simulate(ModelParams(3000, 10, 1), SimConfig(seed=4, horizon_publications=1000))
-        empty = simulate(ModelParams(3000, 10, 1), SimConfig(seed=4, warmup_time=0.0, horizon_publications=1000))
-        assert stats.reads_served > empty.reads_served
-        assert stats.mean_busy_readers > 5.0 > empty.mean_busy_readers
+        means = [
+            simulate(ModelParams(*params), SimConfig(seed=seed, horizon_publications=1000)).mean_active_updates
+            for seed in range(1, 401)
+        ]
+        assert abs(_z(means, EN_SHARED[params])) < 4.0
 
 
 def _windows_by_loop(pub, reads):
@@ -411,27 +451,27 @@ class TestReadWindows:
 def _age_reference(params, config):
     """(mean_age, ci_half_width_age) from each sawtooth window's area, one math.fsum per batch.
 
-    The publish times are the "writes" draws cumsummed from 0, as the
-    simulator takes them; window k runs from pub[k] to pub[k+1], with the
-    age counted from pub[k-1] (from 0 for k = 0), clipped at the warmup.
+    The copy current at 0 was published at -E1 and the one before it at
+    -(E1 + E2), E1 and E2 being the first two "initial" draws; the later
+    publish times are the "writes" draws cumsummed from 0, as the simulator
+    takes them. Window k runs from pub[k] to pub[k+1], with the age counted
+    from pub[k-1] (from -(E1 + E2) for k = 0), clipped at 0.
     """
-    alpha, warmup = params[0], config.warmup_time
+    alpha = params[0]
     horizon, nb = config.horizon_publications, config.batch_count
-    draws = RandomSource(config.seed, "writes").exponential(alpha, int(2 * alpha * warmup) + 2 * horizon)
-    pub = np.cumsum(np.concatenate(([0.0], draws)))
-    i0 = max(1, int(np.searchsorted(pub, warmup, side="right"))) - 1  # the window holding the warmup
-    assert i0 + horizon < len(pub)
+    e1, e2 = RandomSource(config.seed, "initial").exponential(alpha, 2)
+    pub = np.cumsum(np.concatenate(([0.0], RandomSource(config.seed, "writes").exponential(alpha, horizon))))
+    pub[0] = -e1
     boundaries = np.array([((i + 1) * horizon) // nb for i in range(nb)])
-    k = np.arange(i0, i0 + horizon)
-    a, b = np.maximum(pub[k], warmup), pub[k + 1]
-    born = np.where(k > 0, pub[k - 1], 0.0)
+    a, b = np.maximum(pub[:-1], 0.0), pub[1:]
+    born = np.concatenate(([-(e1 + e2)], pub[:-2]))
     area = ((b - a) * ((a + b) / 2 - born)).tolist()
-    batch = np.searchsorted(boundaries, k - i0, side="right")
+    batch = np.searchsorted(boundaries, np.arange(horizon), side="right")
     sums = [math.fsum(area[m] for m in np.flatnonzero(batch == i)) for i in range(nb)]
-    tau = np.concatenate(([warmup], pub[i0 + boundaries]))
+    tau = np.concatenate(([0.0], pub[boundaries]))
     means = np.array(sums) / np.diff(tau)
     ci = simulator._t975(nb - 1) * means.std(ddof=1) / math.sqrt(nb)
-    return math.fsum(sums) / (tau[-1] - warmup), ci
+    return math.fsum(sums) / tau[-1], ci
 
 
 class TestAgeSums:
@@ -440,11 +480,11 @@ class TestAgeSums:
     @pytest.mark.parametrize(
         "params,kw,slab_events",
         [
-            ((3, 2, 1), dict(seed=5, warmup_time=0.0, horizon_publications=5_000, batch_count=10), None),
-            # the warmup ends about 5,000 publications into a 10,922-publication slab, which holds 11 boundaries
-            ((1, 0.5, 1), dict(seed=6, warmup_time=5000.5, horizon_publications=20_000, batch_count=40), None),
+            ((3, 2, 1), dict(seed=5, horizon_publications=5_000, batch_count=10), None),
+            # all 20 boundaries fall inside the one slab of 10,922 publications
+            ((1, 0.5, 1), dict(seed=6, horizon_publications=10_000, batch_count=20), None),
             # slabs of 250 * 2/5 = 100 publications from time 0: every boundary is a slab's last publication
-            ((2, 3, 1), dict(seed=7, warmup_time=0.0, horizon_publications=2_000, batch_count=20), 250),
+            ((2, 3, 1), dict(seed=7, horizon_publications=2_000, batch_count=20), 250),
         ],
     )
     def test_matches_fsum_over_windows(self, params, kw, slab_events, monkeypatch):
@@ -474,11 +514,9 @@ class TestHistogramMatchesArea:
         "params,seed",
         [((1, 0, 1), 2), ((1, 10, 1), 3), ((0.5, 5, 1), 4), ((1000, 1, 1), 5), ((100, 10, 1), 6)],
     )
-    @pytest.mark.parametrize("warmup", [0.0, None])
-    def test_histogram_mean_is_mean_active_updates(self, params, seed, warmup):
+    def test_histogram_mean_is_mean_active_updates(self, params, seed):
         stats = simulate(
-            ModelParams(*params),
-            SimConfig(seed=seed, warmup_time=warmup, horizon_publications=20_000, sample_n_distribution=True),
+            ModelParams(*params), SimConfig(seed=seed, horizon_publications=20_000, sample_n_distribution=True)
         )
         hist = stats.n_histogram
         assert max(hist) < 1 + math.ceil(10.0 * params[1] / params[2]) + 20  # no mass lumped into the cap
