@@ -16,9 +16,11 @@ That span starts at time 0 from a draw of the stationary state (the
 readers in service, the stale copies they lock and the last two
 publications), so no initial transient is left to discard, and it ends at
 the horizon's last publication.
-Each read is put into the window [P_k, P_{k+1}) it arrives in, by one
-binary search per read or, where a slab has more than twice as many reads
-as publications, by one search per publication among the sorted reads.
+A slab's sorted reads fall into runs, one per window [P_k, P_{k+1}) that
+holds any, found by one binary search per read or, where the slab has
+more reads than publications, by one search per publication among the
+reads; a copy's grace end is the largest completion of its run, so
+windows without reads take no grace work.
 The footprint area needs no sort; only the optional histogram merges the
 extensions' starts and sorted stops. Publications are handled in slabs of
 about 16k events, carrying only the intervals still open from one slab to
@@ -157,17 +159,24 @@ def _batch_ci(batch_sums: np.ndarray, batch_durs: np.ndarray, tq: float) -> floa
     return float(tq * means.std(ddof=1) / math.sqrt(len(means)))
 
 
-def _read_windows(pub: np.ndarray, a_t: np.ndarray) -> np.ndarray:
-    """The window of each read: win[j] = k where pub[k] <= a_t[j] < pub[k + 1].
+def _read_windows(pub: np.ndarray, a_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The windows that hold reads, and the index of each one's first read.
 
-    Both arrays are sorted and every read lies in [pub[0], pub[-1]); of tied
-    publications the last one holds the window, so a read at a publication's
-    time sees that publication. Both branches give the same ids; the switch
-    between them is explained in simulate.
+    Returns (u, first), both increasing: window u[i], [pub[u[i]], pub[u[i] + 1]),
+    holds the reads a_t[first[i]:first[i + 1]] (the last one's run ends at
+    len(a_t)), and every other window holds none. pub and a_t are sorted,
+    and every read lies in [pub[0], pub[-1]); of tied publications the last one
+    holds the window, so a read at a publication's time sees that
+    publication. Both branches give the same runs; the switch between them
+    is explained in simulate.
     """
-    if len(a_t) > 2 * len(pub):
-        return np.repeat(np.arange(len(pub) - 1), np.diff(np.searchsorted(a_t, pub, side="left")))
-    return np.searchsorted(pub, a_t, side="right") - 1
+    if len(a_t) > len(pub):
+        idx = np.searchsorted(a_t, pub, side="left")
+        u = np.flatnonzero(np.diff(idx))
+        return u, idx[u]
+    win = np.searchsorted(pub, a_t, side="right") - 1
+    first = np.flatnonzero(np.diff(win, prepend=-1))
+    return win[first], first
 
 
 def _stationary_state(params: ModelParams, source: RandomSource) -> tuple:
@@ -232,20 +241,26 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
     The stale copies and their reads enter as if carried from an earlier
     slab, and every later slab starts at the previous one's end.
 
-    Reads go to windows by _read_windows: with more than twice as many
-    reads as publications in a slab it finds the publications among the
-    reads (P log R + R) instead of searching for every read (R log P). The
-    switch sits at 2x because that is about where the two cost the same:
-    forced on every slab, the per-publication search made a run take
-    1.11-1.13x as long at 1 read per publication, 0.98-1.01x at 2 and 2.5,
-    and 0.82-0.87x at 10 and 20 (horizon 30k publications, 2 vCPUs). Both
-    give the same window ids.
+    Reads go to windows by _read_windows, as runs of the sorted reads: with
+    more reads than publications in a slab it finds the publications among
+    the reads (P log R + P) instead of searching for every read (R log P +
+    R). Neither branch makes an array per read, so the two cost about the
+    same near 1 read per publication, and the switch sits there: forced on
+    every slab, the per-publication search made a run take 1.12-1.15x as
+    long at 0.5 reads per publication, 0.96-0.97x at 1, 0.90-0.92x at 2,
+    0.85-0.90x at 2.5, 0.74-0.77x at 10 and 0.67-0.71x at 20 (horizon 100k
+    publications, 2 vCPUs; the ratio of medians over 15 interleaved runs,
+    three times). Both give the same runs.
 
     Only a copy with a late reader outlives its replacement, so only those
-    carry a grace end into the footprint and into the next slab. The age
-    area of each batch is one pairwise sum over its sawtooth windows
-    (np.add.reduceat at the slab's batch boundaries), and the running
-    total adds those few sums.
+    carry a grace end into the footprint and into the next slab; it is the
+    largest completion of the copy's run of reads (np.maximum.reduceat), so
+    windows without reads take no grace work. The publication times are
+    the running sum of the draws, written into one buffer made per run. The
+    age area of each sawtooth window is built in place in one more such
+    buffer, (0.5 dt + age) dt with dt in the spent draws, and summed per
+    batch by np.add.reduceat at the slab's batch boundaries (pairwise, as
+    numpy sums); the running total adds those few sums.
     """
     validate(params)
     alpha, lam, mu = params.alpha, params.lam, params.mu
@@ -279,13 +294,19 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
     rec_left = config.record_updates
     recs: list[tuple[np.ndarray, ...]] = []
 
+    # a slab's publication times and sawtooth window areas, in buffers every slab reuses
+    pub_buf = np.empty(min(slab, horizon) + 1)
+    area_buf = np.empty(len(pub_buf) - 1)
     done = False
     while not done:
         n_new = min(slab, horizon - pubs)
         done = pubs + n_new == horizon
         # pub[k] is the publish time of copy pubs+k; cumsum adds left to
         # right, so these are the times a one-draw-at-a-time loop reaches
-        pub = np.cumsum(np.concatenate(([end], writes.exponential(alpha, n_new))))
+        x = writes.exponential(alpha, n_new)
+        x[0] += end
+        pub = pub_buf[: n_new + 1]
+        np.cumsum(x, out=pub[1:])
         pub[0] = start  # the first slab's copy was published before 0
         end = pub[-1]
 
@@ -298,18 +319,18 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
         cut = int(np.searchsorted(arr, end, side="left"))
         a_t, c_t = arr[:cut], comp[:cut]
         arr, comp = arr[cut:], comp[cut:]
-        win = _read_windows(pub, a_t)
-        grace = pub[1:].copy()
-        np.maximum.at(grace, win, c_t)
+        u, first = _read_windows(pub, a_t)
         # only a copy with a late reader outlives its replacement, which is at or before `end`
-        ext = grace > pub[1:]
+        last_done = np.maximum.reduceat(c_t, first)
+        replaced = pub[u + 1]
+        ext = last_done > replaced
 
-        g_end = np.concatenate((open_grace, grace[ext]))
+        g_end = np.concatenate((open_grace, last_done[ext]))
         r_end = np.concatenate((open_reads, c_t))
         lo = max(start, 0.0)  # the measurement starts at 0, inside the first slab's window
-        # N(t) - 1 counts the extensions: copy pubs+k's on [pub[k+1], grace[k]),
+        # N(t) - 1 counts the extensions: copy pubs+k's on [pub[k+1], its grace end),
         # and a copy carried from an earlier slab's on [start, its grace end)
-        xs = np.maximum(np.concatenate((np.full(len(open_grace), start), pub[1:][ext])), lo)
+        xs = np.maximum(np.concatenate((np.full(len(open_grace), start), replaced[ext])), lo)
         xe = np.minimum(g_end, end)
         held = xe > xs
         xs, xe = xs[held], xe[held]
@@ -325,11 +346,14 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
             )
 
         # sawtooth age: while copy pubs+k is current, its age runs from pub[k-1] (from
-        # origin for k = 0), so each window after the first starts at the previous one's length
-        dt = np.diff(pub)
-        age = np.concatenate(([lo - origin], dt[:-1]))
+        # origin for k = 0), so each window after the first starts at the previous one's
+        # length; the area (0.5 dt + age) dt is built in place, dt in the spent draws
+        dt = np.subtract(pub[1:], pub[:-1], out=x)
+        area = np.multiply(dt, 0.5, out=area_buf[:n_new])
+        area[1:] += dt[:-1]
         dt[0] = pub[1] - lo
-        area = (age + 0.5 * dt) * dt
+        area[0] = 0.5 * dt[0] + (lo - origin)
+        area *= dt
 
         r_start = np.maximum(np.concatenate((np.full(len(open_reads), start), a_t)), lo)
         area_reads += float(np.maximum(np.minimum(r_end, end) - r_start, 0.0).sum())
@@ -350,6 +374,10 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
 
         if rec_left > 0:
             ks = np.arange(int(pubs == 0), n_new)[:rec_left]  # the copy current at 0 was published before it
+            # records alone need every read's window and every copy's grace end
+            win = np.repeat(u, np.diff(np.append(first, len(a_t))))
+            grace = pub[1:].copy()
+            grace[u[ext]] = last_done[ext]
             late = c_t >= pub[win + 1]
             residual = np.bincount(win[late], minlength=n_new)
             recs.append((pubs + ks, pub[ks], pub[ks + 1], residual[ks], grace[ks]))

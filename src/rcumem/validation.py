@@ -310,22 +310,44 @@ def i3_closed(alpha: float, mu: float, k: int, w: float) -> float:
     return _qk_minus_1(alpha, mu, k) / (mu * w)
 
 
-def _expm1_rate(mu: np.ndarray, alpha: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """expm1(-(mu/alpha) t) at the rule's nodes t, on a trailing axis.
+def _ratio_and_rate(mu: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, r): c = mu/alpha, inf where it passes the float range, and r = alpha where c < 1, else mu.
 
-    Where mu/alpha, or its product with t, passes the float range it is inf,
-    and expm1 takes its limit -1.
+    r is the rate that divides _expm1_scaled(c, t), which is expm1(-c t)
+    times r/mu.
     """
     with np.errstate(over="ignore"):
-        return np.expm1(-(mu / alpha)[..., None] * t)
+        c = mu / alpha
+    return c, np.where(c < 1.0, alpha, mu)
+
+
+def _expm1_scaled(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """expm1(-c t) at the rule's nodes t, on a trailing axis, over c where c < 1.
+
+    Where c < 1 it may be subnormal and so short of bits; divided out, it
+    no longer scales the result, and below x = c t = 1e-5 the quotient is
+    -t (1 - x/2 + x^2/6), whose next term is under 5e-17 relative, so c
+    enters only that correction. Elsewhere c may be inf, and expm1 takes
+    its limit -1.
+    """
+    c = c[..., None]
+    with np.errstate(over="ignore"):
+        x = c * t
+    g = np.expm1(-x)
+    scaled = c < 1.0
+    np.divide(g, c, out=g, where=scaled & (x >= 1e-5))
+    series = scaled & (x < 1e-5)
+    xs = np.where(series, x, 0.0)
+    return np.where(series, -t * (1.0 - xs / 2.0 + xs * xs / 6.0), g)
 
 
 def i3_numeric(alpha, mu, k, w):
     """I3 = int_0^inf f_L(l) (e^{-mu l} - 1) dl / (mu w), over t = alpha l; k <= _MAX_RULE_K."""
     alpha, mu, w = _positive(alpha=alpha, mu=mu, w=w)
+    c, r = _ratio_and_rate(mu, alpha)
     kc = _rule_shape(k)[..., None]
-    v = _integral(lambda t: gamma_l_pdf(1.0, kc, t) * _expm1_rate(mu, alpha, t), _gamma_end(k))
-    return _float_or_array(v / (mu * w))
+    v = _integral(lambda t: gamma_l_pdf(1.0, kc, t) * _expm1_scaled(c, t), _gamma_end(k))
+    return _float_or_array(v / (r * w))
 
 
 def i4_closed(alpha: float, mu: float, k: int, w: float) -> float:
@@ -336,9 +358,10 @@ def i4_closed(alpha: float, mu: float, k: int, w: float) -> float:
 def i4_numeric(alpha, mu, k, w):
     """I4 = int_0^inf f_L(l) (e^{-mu (w + l)} - e^{-mu w}) dl / (mu w), over t = alpha l; k <= _MAX_RULE_K."""
     alpha, mu, w = _positive(alpha=alpha, mu=mu, w=w)
+    c, r = _ratio_and_rate(mu, alpha)
     e, kc = np.exp(-mu * w)[..., None], _rule_shape(k)[..., None]
-    v = _integral(lambda t: gamma_l_pdf(1.0, kc, t) * (e * _expm1_rate(mu, alpha, t)), _gamma_end(k))
-    return _float_or_array(v / (mu * w))
+    v = _integral(lambda t: gamma_l_pdf(1.0, kc, t) * (e * _expm1_scaled(c, t)), _gamma_end(k))
+    return _float_or_array(v / (r * w))
 
 
 def _gamma_q(k: np.ndarray, x: np.ndarray) -> np.ndarray:

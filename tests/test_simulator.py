@@ -246,8 +246,9 @@ PATHWISE_CASES = {
     # one slab, shorter than the default; the records stop one copy short of the horizon's last
     "short_horizon": ((100, 1, 1), dict(seed=2, horizon_publications=1_000, record_updates=999), None, RandomSource),
     # publications, arrivals and completions on a 1/8 grid, so the tie order decides windows and
-    # residuals; about 2 reads per publication in slabs of 64 events take both _read_windows branches,
-    # and at seed 7 a read completes at the last publication, so it is not served
+    # residuals; at about 2 reads per publication, 3 of the 239 slabs of 64 events hold no more reads
+    # than publications, so both _read_windows branches are taken; and at seed 7 a read completes
+    # at the last publication, so it is not served
     "ties": ((1, 2, 1), dict(seed=7, horizon_publications=5_000, record_updates=5_000), 64, _GridSource),
 }
 
@@ -282,6 +283,18 @@ class TestPathwise:
 
         assert peak(400_000) <= 1.5 * peak(50_000)
 
+    def test_peak_within_six_slab_arrays(self):
+        # the slab-length arrays are a slab's draws (two while the next ones are drawn), its
+        # publication times and its age areas, with room to spare
+        slab = int(simulator._SLAB_EVENTS * 1000 / 1001)
+        tracemalloc.start()
+        try:
+            simulate(ModelParams(1000, 1, 1), SimConfig(seed=1, horizon_publications=200_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * slab
+
 
 SLAB_CASES = {
     "read_heavy": (
@@ -291,9 +304,9 @@ SLAB_CASES = {
     "write_heavy": ((1000, 1, 1), {"seed": 3, "horizon_publications": 20_000}),
     # one publication per batch: many boundaries per slab, and extensions straddling several
     "batch_per_publication": ((0.5, 10, 1), {"seed": 3, "horizon_publications": 5_000, "batch_count": 5_000}),
-    # about 2 reads per publication: slabs fall on both sides of _read_windows' switch
+    # about 1 read per publication: slabs fall on both sides of _read_windows' switch
     "mixed": (
-        (1, 2, 1),
+        (1, 1, 1),
         {"seed": 3, "horizon_publications": 20_000, "sample_n_distribution": True, "record_updates": 20_005},
     ),
     # a stationary start at alpha >> mu: the stale copies locked at time 0 stay locked for
@@ -337,7 +350,7 @@ class TestSlabIndependence:
         above = []
 
         def spy(pub, a_t):
-            above.append(len(a_t) > 2 * len(pub))
+            above.append(len(a_t) > len(pub))
             return read_windows(pub, a_t)
 
         monkeypatch.setattr(simulator, "_read_windows", spy)
@@ -418,19 +431,25 @@ def _windows_by_loop(pub, reads):
     return win
 
 
+def _expand(u, first, n_reads):
+    """The window of each read, from _read_windows' runs over n_reads sorted reads."""
+    return np.repeat(u, np.diff(np.append(first, n_reads)))
+
+
 class TestReadWindows:
-    """_read_windows matches a plain loop on either side of its reads-per-publication switch."""
+    """_read_windows' runs match a plain loop on either side of its reads-per-publication switch."""
 
     # tied publications, so windows [1, 1) and [4, 4) are empty
     PUB = np.array([0.0, 1.0, 1.0, 1.0, 2.5, 4.0, 4.0, 4.5, 7.0, 8.0])
 
-    # the per-publication search is taken above 2 * len(PUB) = 20 reads
-    @pytest.mark.parametrize("n_reads", [0, 1, 9, 20, 21, 200])
+    # the per-publication search is taken above len(PUB) = 10 reads
+    @pytest.mark.parametrize("n_reads", [0, 1, 9, 10, 11, 20, 21, 200])
     def test_matches_loop(self, n_reads):
         rng = np.random.default_rng(n_reads)
         at_pubs = self.PUB[:-1][:n_reads]  # reads exactly at publications, tied ones included
         reads = np.sort(np.concatenate((at_pubs, rng.uniform(0.0, self.PUB[-1], n_reads - len(at_pubs)))))
-        assert simulator._read_windows(self.PUB, reads).tolist() == _windows_by_loop(self.PUB, reads)
+        u, first = simulator._read_windows(self.PUB, reads)
+        assert _expand(u, first, len(reads)).tolist() == _windows_by_loop(self.PUB, reads)
 
     def test_random_slabs(self):
         rng = np.random.default_rng(2026)
@@ -443,9 +462,34 @@ class TestReadWindows:
             # half the reads on the integer grid, so many sit exactly on a publication
             reads = np.concatenate((rng.integers(pub[0], pub[-1], n // 2), rng.uniform(pub[0], pub[-1], n - n // 2)))
             reads = np.sort(reads[reads < pub[-1]])
-            above.append(len(reads) > 2 * len(pub))
-            assert simulator._read_windows(pub, reads).tolist() == _windows_by_loop(pub, reads)
+            above.append(len(reads) > len(pub))
+            u, first = simulator._read_windows(pub, reads)
+            assert _expand(u, first, len(reads)).tolist() == _windows_by_loop(pub, reads)
         assert 50 < sum(above) < len(above) - 50
+
+    def test_grace_ends_from_runs(self):
+        # simulate's grace ends, one maximum per run, against np.maximum.at over every read's window
+        rng = np.random.default_rng(24)
+        above = []
+        for i in range(1000):
+            pub = np.sort(rng.integers(0, 40, int(rng.integers(2, 30)))).astype(float)
+            if pub[-1] == pub[0]:
+                continue
+            # every other slab above the switch at 1 read per publication
+            n = int(rng.integers(len(pub) + 1, 6 * len(pub))) if i % 2 else int(rng.integers(0, len(pub) + 1))
+            reads = np.concatenate((rng.integers(pub[0], pub[-1], n // 2), rng.uniform(pub[0], pub[-1], n - n // 2)))
+            reads = np.sort(reads[reads < pub[-1]])
+            done = reads + np.ceil(rng.exponential(4.0, len(reads)) * 4.0) / 4.0  # ties with publications too
+            above.append(len(reads) > len(pub))
+            u, first = simulator._read_windows(pub, reads)
+            assert np.all(np.diff(first) > 0) and np.all(np.diff(u) > 0)
+            assert len(reads) == 0 or first[0] == 0
+            want = pub[1:].copy()
+            np.maximum.at(want, _windows_by_loop(pub, reads), done)
+            got = pub[1:].copy()
+            got[u] = np.maximum(pub[u + 1], np.maximum.reduceat(done, first))
+            assert np.array_equal(got, want)
+        assert sum(above) >= 400 and len(above) - sum(above) >= 400
 
 
 def _age_reference(params, config):

@@ -1,6 +1,8 @@
+import itertools
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaincc
@@ -394,6 +396,28 @@ class TestOracleDomain:
     )
     def test_extreme_rate_ratio_takes_the_limit_without_warning(self, numeric, closed, alpha, mu):
         assert numeric(alpha, mu) == pytest.approx(closed(alpha, mu), rel=1e-12, abs=0.0)
+
+    # mu/alpha = 1e-310 is subnormal, with about 44 bits, so it must not scale the integral
+    @pytest.mark.parametrize("alpha,mu", [(1e10, 1e-300), (1e300, 1e-10)])
+    def test_subnormal_rate_ratio_keeps_full_precision(self, alpha, mu):
+        assert i3_numeric(alpha, mu, 1, 1.0) == pytest.approx(i3_closed(alpha, mu, 1, 1.0), rel=1e-13, abs=0.0)
+        assert i4_numeric(alpha, mu, 1, 1.0) == pytest.approx(i4_closed(alpha, mu, 1, 1.0), rel=1e-13, abs=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rate_scan_against_mpmath(self):
+        # (q^k - 1)/(mu w) as 40-digit expm1(-k log1p(mu/alpha))/(mu w): where mu/alpha underflows to 0,
+        # i3_closed and i4_closed return 0 and are no reference
+        rates = [1e-300, 1e-100, 1e-10, 1e-6, 1.0, 1e6, 1e10, 1e300]
+        points = list(itertools.product(rates, rates, [1, 50], [1e-3, 1.0, 1e3]))
+        alpha, mu, k, w = (np.array(col) for col in zip(*points))
+        n3, n4 = i3_numeric(alpha, mu, k, w), i4_numeric(alpha, mu, k, w)
+        with mpmath.workdps(40):
+            for i, (a, m, kk, ww) in enumerate(points):
+                m = mpmath.mpf(m)
+                r3 = mpmath.expm1(-kk * mpmath.log1p(m / a)) / (m * ww)
+                r4 = mpmath.exp(-m * ww) * r3
+                assert abs(n3[i] - float(r3)) <= 1e-12 * abs(float(r3)), points[i]
+                assert abs(n4[i] - float(r4)) <= 1e-12 * abs(float(r4)), points[i]
 
 
 # 300 log-uniform (alpha, mu, k, w) points, far wider than the `validate` grid
