@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConvergenceError, DomainError, ModelParams, _float_or_array, _legendre_panels, b_k, validate
+from .core import ConvergenceError, DomainError, ModelParams, _float_or_array, _laggauss, _legendre_panels, b_k, validate
 
 
 @dataclass(frozen=True)
@@ -59,18 +59,15 @@ def p_ek_given_w(params: ModelParams, k: int, w: float) -> float:
     return math.exp(b * math.expm1(-params.mu * w))
 
 
-# Gauss-Laguerre rule for int_0^inf e^{-s} f(s) ds (DLMF 3.5(v)); every node is below 146.5
-_LAG_S, _LAG_W = np.polynomial.laguerre.laggauss(40)
-
-
 def _kummer_m(r: float, b):
     """M(1, r + 1, -b) for b >= 0 (scalar or array), with numpy alone.
 
     M = int_0^inf exp(b expm1(-t/r) - t) dt (DLMF 13.4.1), taken three ways:
     - r >= 10: t = s/c with c = 1 + b/r, the integrand's initial decay rate,
       gives (1/c) int_0^inf e^{-s} exp(b (expm1(-x) + x)) ds with x = s/(c r),
-      for the 40-node Laguerre rule; below x = 1e-3, expm1(-x) + x is its
-      Taylor series, which does not cancel.
+      for the 40-node Gauss-Laguerre rule (core._laggauss, every node below
+      146.5); below x = 1e-3, expm1(-x) + x is its Taylor series, which does
+      not cancel.
     - r < 10, b < 150: Kummer's transformation (DLMF 13.2.39) gives the
       Poisson sum e^{-b} (1 + sum_{n>=1} (b^n/n!) r/(r + n)), whose terms are
       all positive; it is cut b + 12 sqrt(b) + 40 terms in, at the largest b.
@@ -82,10 +79,11 @@ def _kummer_m(r: float, b):
     """
     b = np.asarray(b, dtype=float)
     if r >= 10.0:
+        s, wt = _laggauss(40)
         c = 1.0 + b / r
-        x = _LAG_S / (c[..., None] * r)
+        x = s / (c[..., None] * r)
         f = np.where(x < 1e-3, x * x * (0.5 - x * (1 / 6 - x * (1 / 24 - x / 120))), np.expm1(-x) + x)
-        return np.exp(b[..., None] * f) @ _LAG_W / c
+        return np.exp(b[..., None] * f) @ wt / c
     m = np.empty_like(b)
     small = b < 150.0
     bs = b[small]
@@ -94,8 +92,9 @@ def _kummer_m(r: float, b):
         n = np.arange(1.0, top + 12.0 * math.sqrt(top) + 41.0)
         m[small] = np.exp(-bs) * (1.0 + np.cumprod(bs[..., None] / n, axis=-1) @ (r / (r + n)))
     if bs.size < b.size:
+        s, wt = _laggauss(40)
         bl = b[~small]
-        m[~small] = r / bl * (np.exp((r - 1.0) * np.log1p(-_LAG_S / bl[..., None])) @ _LAG_W)
+        m[~small] = r / bl * (np.exp((r - 1.0) * np.log1p(-s / bl[..., None])) @ wt)
     return m
 
 

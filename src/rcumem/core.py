@@ -75,6 +75,14 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, wt
 
 
+@functools.cache
+def _laggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's n-node Gauss-Laguerre rule for int_0^inf e^{-s} f(s) ds (DLMF 3.5(v)), as _leggauss's."""
+    s, wt = np.polynomial.laguerre.laggauss(n)
+    s.flags.writeable = wt.flags.writeable = False
+    return s, wt
+
+
 def _legendre_panels(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The composite n-node Gauss-Legendre rule on the panels between consecutive edges.
 

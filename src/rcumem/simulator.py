@@ -23,8 +23,9 @@ reads; a copy's grace end is the largest completion of its run, so
 windows without reads take no grace work.
 The footprint area needs no sort; only the optional histogram merges the
 extensions' starts and sorted stops. Publications are handled in slabs of
-about 16k events, carrying only the intervals still open from one slab to
-the next, so memory does not grow with the horizon.
+about 16k events; a slab draws its reads only as far as its end, summed and
+completed in place, and carries only the intervals still open and the reads
+drawn past its end to the next, so memory does not grow with the horizon.
 """
 from __future__ import annotations
 
@@ -241,6 +242,13 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
     The stale copies and their reads enter as if carried from an earlier
     slab, and every later slab starts at the previous one's end.
 
+    A slab draws lam (end - last arrival) reads plus four standard
+    deviations, at most _SLAB_EVENTS at a time, until one arrives at or
+    after its end. The arrival times are summed on the draw and the
+    completions added onto the hold draw, both in place; the busy-reader
+    area, the served count and the reads carried on come from one array of
+    the slab's completions.
+
     Reads go to windows by _read_windows, as runs of the sorted reads: with
     more reads than publications in a slab it finds the publications among
     the reads (P log R + P) instead of searching for every read (R log P +
@@ -264,20 +272,21 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
     """
     validate(params)
     alpha, lam, mu = params.alpha, params.lam, params.mu
+    # Poisson(lam/mu) reads are in service at 0, and the histogram's cap is 10 lam/mu levels up
+    if not math.isfinite(10.0 * lam / mu):
+        raise ConfigError(f"lambda/mu too large to simulate: {lam}/{mu}")
 
     writes = RandomSource(config.seed, "writes")
     arrivals = RandomSource(config.seed, "arrivals")
     services = RandomSource(config.seed, "services")
     slab = max(1, int(_SLAB_EVENTS * alpha / (alpha + lam)))
-    read_block = max(1, _SLAB_EVENTS - slab)
 
     horizon = config.horizon_publications
     nb = config.batch_count
     boundaries = np.array([((i + 1) * horizon) // nb for i in range(nb)])
 
-    want_hist = config.sample_n_distribution
-    hist_cap = 1 + math.ceil(10.0 * lam / mu) + 20
-    hist = np.zeros(hist_cap + 1)
+    # the histogram's levels, up to a cap of 1 + ceil(10 lam/mu) + 20
+    hist = np.zeros(math.ceil(10.0 * lam / mu) + 22) if config.sample_n_distribution else None
 
     # start and origin: the publish times of the copy current at the slab's start and of
     # the one before it; open_grace and open_reads: the grace ends of earlier copies and
@@ -310,31 +319,50 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
         pub[0] = start  # the first slab's copy was published before 0
         end = pub[-1]
 
-        if lam > 0:
-            while len(arr) == 0 or arr[-1] < end:
-                new = np.cumsum(np.concatenate(([last_arr], arrivals.exponential(lam, read_block))))[1:]
-                last_arr = float(new[-1])
-                arr = np.concatenate((arr, new))
-                comp = np.concatenate((comp, new + services.exponential(mu, read_block)))
+        # the reads up to `end`: the expected count plus four standard deviations, drawn
+        # again where that falls short; comp gathers the completions, the carried ones first
+        comp = [open_reads, comp]
+        while lam > 0 and (len(arr) == 0 or arr[-1] < end):
+            m = lam * (end - last_arr)
+            n = int(min(_SLAB_EVENTS, m + 4.0 * math.sqrt(m) + 1.0))
+            arr = np.concatenate((arr, arrivals.exponential(lam, n)))
+            new = arr[-n:]
+            new[0] += last_arr
+            last_arr = float(np.cumsum(new, out=new)[-1])
+            comp.append(services.exponential(mu, n))
+            comp[-1] += new
         cut = int(np.searchsorted(arr, end, side="left"))
-        a_t, c_t = arr[:cut], comp[:cut]
-        arr, comp = arr[cut:], comp[cut:]
+        a_t, arr = arr[:cut], arr[cut:]
+        n_open = len(open_reads)
+        r_end = np.concatenate(comp)
+        r_end, comp = r_end[: n_open + cut], r_end[n_open + cut :]
+        c_t = r_end[n_open:]
         u, first = _read_windows(pub, a_t)
         # only a copy with a late reader outlives its replacement, which is at or before `end`
         last_done = np.maximum.reduceat(c_t, first)
         replaced = pub[u + 1]
         ext = last_done > replaced
 
+        if rec_left > 0:
+            ks = np.arange(int(pubs == 0), n_new)[:rec_left]  # the copy current at 0 was published before it
+            # records alone need every read's window and every copy's grace end
+            win = np.repeat(u, np.diff(np.append(first, len(a_t))))
+            grace = pub[1:].copy()
+            grace[u[ext]] = last_done[ext]
+            late = c_t >= pub[win + 1]
+            residual = np.bincount(win[late], minlength=n_new)
+            recs.append((pubs + ks, pub[ks], pub[ks + 1], residual[ks], grace[ks]))
+            rec_left -= len(ks)
+
         g_end = np.concatenate((open_grace, last_done[ext]))
-        r_end = np.concatenate((open_reads, c_t))
         lo = max(start, 0.0)  # the measurement starts at 0, inside the first slab's window
         # N(t) - 1 counts the extensions: copy pubs+k's on [pub[k+1], its grace end),
-        # and a copy carried from an earlier slab's on [start, its grace end)
-        xs = np.maximum(np.concatenate((np.full(len(open_grace), start), replaced[ext])), lo)
+        # and a copy carried from an earlier slab's on [lo, its grace end)
+        xs = np.concatenate((np.full(len(open_grace), lo), replaced[ext]))
         xe = np.minimum(g_end, end)
         held = xe > xs
         xs, xe = xs[held], xe[held]
-        if want_hist:
+        if hist is not None:
             # xs is in publish order, so the stable sort merges two sorted runs;
             # at equal times a start comes before a stop
             times = np.concatenate((xs, np.sort(xe)))
@@ -342,7 +370,7 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
             level = np.cumsum(np.where(order < len(xs), 1, -1)) + 1
             dur = np.diff(np.concatenate(([lo], times[order], [end])))
             hist += np.bincount(
-                np.minimum(np.concatenate(([1], level)), hist_cap), weights=dur, minlength=hist_cap + 1
+                np.minimum(np.concatenate(([1], level)), len(hist) - 1), weights=dur, minlength=len(hist)
             )
 
         # sawtooth age: while copy pubs+k is current, its age runs from pub[k-1] (from
@@ -355,10 +383,14 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
         area[0] = 0.5 * dt[0] + (lo - origin)
         area *= dt
 
-        r_start = np.maximum(np.concatenate((np.full(len(open_reads), start), a_t)), lo)
-        area_reads += float(np.maximum(np.minimum(r_end, end) - r_start, 0.0).sum())
         # a read is served when it completes; at the horizon's end it is still held
-        reads_served += int(np.count_nonzero(r_end < end if done else r_end <= end))
+        open_reads = r_end[r_end >= end if done else r_end > end]
+        reads_served += len(r_end) - len(open_reads)
+        # the busy-reader area, over the spent completions; only the first slab's reads start before lo
+        np.minimum(r_end, end, out=r_end)
+        r_end[:n_open] -= lo
+        r_end[n_open:] -= np.maximum(a_t, lo) if pubs == 0 else a_t
+        area_reads += float(r_end.sum())
 
         # batch boundaries are publication times, so both areas are exact there; a
         # boundary's offset ends a segment of age windows, and one at the slab's
@@ -372,19 +404,7 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
         area_stale += float((xe - xs).sum())
         area_age += float(cum_age[-1])
 
-        if rec_left > 0:
-            ks = np.arange(int(pubs == 0), n_new)[:rec_left]  # the copy current at 0 was published before it
-            # records alone need every read's window and every copy's grace end
-            win = np.repeat(u, np.diff(np.append(first, len(a_t))))
-            grace = pub[1:].copy()
-            grace[u[ext]] = last_done[ext]
-            late = c_t >= pub[win + 1]
-            residual = np.bincount(win[late], minlength=n_new)
-            recs.append((pubs + ks, pub[ks], pub[ks + 1], residual[ks], grace[ks]))
-            rec_left -= len(ks)
-
         open_grace = g_end[g_end > end]
-        open_reads = r_end[r_end > end]
         pubs += n_new
         origin, start = float(pub[-2]), float(end)
 
@@ -397,9 +417,7 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
     ci_n = _batch_ci(np.asarray(snap_stale) - starts_stale, durs, tq)
     ci_age = _batch_ci(np.asarray(snap_age) - starts_age, durs, tq)
 
-    histogram = None
-    if want_hist:
-        histogram = {n: float(w) / total_t for n, w in enumerate(hist) if w > 0}
+    histogram = None if hist is None else {n: float(w) / total_t for n, w in enumerate(hist) if w > 0}
 
     # a copy still locked at the horizon has no grace end yet
     records = [

@@ -300,14 +300,24 @@ def i1_numeric(mu, w):
     return _float_or_array(_integral(lambda u: w * fy_density(mu, w, w * (u - 1.0)), 1.0))
 
 
-def _qk_minus_1(alpha: float, mu: float, k: int) -> float:
-    """(alpha/(alpha+mu))^k - 1 as expm1(-k log1p(mu/alpha)), which does not cancel when mu << alpha."""
-    return math.expm1(-k * math.log1p(mu / alpha))
+def _qk_minus_1_over_mu(alpha: float, mu: float, k: int) -> tuple[float, float]:
+    """(a, r) with a/r = ((alpha/(alpha+mu))^k - 1)/mu, taken two ways.
+
+    From c = mu/alpha = 1e-8/k up, a = expm1(-k log1p(c)), which does not
+    cancel when mu << alpha, and r = mu. Below, where c may underflow,
+    a = -k (1 - (k+1) c/2) and r = alpha; the next term is at most 1e-16
+    relative.
+    """
+    c = mu / alpha
+    if c < 1e-8 / k:
+        return -k * (1.0 - (k + 1) * c / 2.0), alpha
+    return math.expm1(-k * math.log1p(c)), mu
 
 
 def i3_closed(alpha: float, mu: float, k: int, w: float) -> float:
     """(1/(mu w)) * E[e^{-mu L} - 1] = ((alpha/(alpha+mu))^k - 1)/(mu w)."""
-    return _qk_minus_1(alpha, mu, k) / (mu * w)
+    a, r = _qk_minus_1_over_mu(alpha, mu, k)
+    return a / (r * w)
 
 
 def _ratio_and_rate(mu: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,7 +362,8 @@ def i3_numeric(alpha, mu, k, w):
 
 def i4_closed(alpha: float, mu: float, k: int, w: float) -> float:
     """e^{-mu w}/(mu w) * ((alpha/(alpha+mu))^k - 1)."""
-    return math.exp(-mu * w) * _qk_minus_1(alpha, mu, k) / (mu * w)
+    a, r = _qk_minus_1_over_mu(alpha, mu, k)
+    return math.exp(-mu * w) * a / (r * w)
 
 
 def i4_numeric(alpha, mu, k, w):

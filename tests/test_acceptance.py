@@ -281,6 +281,28 @@ class TestCliImport:
         assert child.returncode == 0, child.stderr
         assert child.stdout.strip() == ""
 
+    def test_no_gauss_laguerre_rule_on_read_heavy_simulate(self):
+        # only r = alpha/mu >= 10, or b_k >= 150, takes _kummer_m's Gauss-Laguerre rule, which core
+        # builds on first use; below that, numpy.polynomial is not even imported
+        code = "\n".join(
+            [
+                "import contextlib, io, sys, rcumem.cli",
+                "from rcumem import core",
+                "from rcumem.core import ModelParams",
+                "from rcumem.simulator import SimConfig, simulate",
+                "simulate(ModelParams(2, 5, 1), SimConfig(horizon_publications=1000, batch_count=10))",
+                "argv = ['simulate', '--alpha', '0.5,1,2', '--lambda', '5,10', '--mu', '1', '--histogram',",
+                "        '--publications', '1000', '--batches', '10']",
+                "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):",
+                "    assert rcumem.cli.main(argv) == 0",
+                "assert core._laggauss.cache_info().currsize == 0",
+                "print(*sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))",
+            ]
+        )
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == ""
+
     def test_no_scipy_on_validate(self):
         # every oracle in rcumem.validation runs on numpy's Gauss-Legendre nodes,
         # the joint quadrature too, though validate does not call it

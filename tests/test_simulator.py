@@ -376,6 +376,101 @@ class TestWriteDraws:
         assert drawn["writes"] == horizon
 
 
+class _DenseReadSource(RandomSource):
+    """A RandomSource whose read gaps are a quarter of their draws, so reads come 4x as often as lam says."""
+
+    def exponential(self, rate, size=None):
+        x = super().exponential(rate, size)
+        return x / 4.0 if self.stream == "arrivals" else x
+
+
+class TestReadDraws:
+    """A slab draws its reads only as far as its end, and tops up a draw that falls short."""
+
+    @pytest.mark.parametrize(
+        "params,horizon",
+        [((2, 5, 1), 10_000), ((0.5, 10, 1), 10_000), ((1, 3, 1), 10_000), ((1000, 1, 1), 20_000), ((3000, 10, 1), 20_000)],
+    )
+    def test_reads_drawn_to_the_horizon(self, params, horizon, monkeypatch):
+        alpha, lam, _ = params
+        drawn = Counter()
+        exponential = RandomSource.exponential
+
+        def counting(self, rate, size=None):
+            drawn[self.stream] += 1 if size is None else size
+            return exponential(self, rate, size)
+
+        monkeypatch.setattr(RandomSource, "exponential", counting)
+        simulate(ModelParams(*params), SimConfig(seed=1, horizon_publications=horizon))
+        # the horizon's last publication, and the reads arriving before it, from the streams themselves
+        end = np.cumsum(exponential(RandomSource(1, "writes"), alpha, horizon))[-1]
+        arrivals = np.cumsum(exponential(RandomSource(1, "arrivals"), lam, drawn["arrivals"]))
+        before = int(np.searchsorted(arrivals, end, side="left"))
+        # each draw is sized to end a few standard deviations past its slab's end, and the reads
+        # drawn past that end are the next slab's, so a run is left with one draw's overshoot
+        slab = int(simulator._SLAB_EVENTS * alpha / (alpha + lam))
+        margin = math.ceil(horizon / slab) * (8.0 * math.sqrt(lam * slab / alpha) + 1.0)
+        assert drawn["services"] == drawn["arrivals"]
+        assert before < drawn["arrivals"] <= before + margin
+
+    @pytest.mark.parametrize("slab_events", [None, 1000])
+    def test_short_draws_top_up(self, slab_events, monkeypatch):
+        # at 4x the reads lam says, every sized draw falls short and the slab draws again
+        params = (1, 1, 1)
+        monkeypatch.setattr(simulator, "RandomSource", _DenseReadSource)
+        if slab_events is not None:
+            monkeypatch.setattr(simulator, "_SLAB_EVENTS", slab_events)
+        draws = Counter()
+        exponential = _DenseReadSource.exponential
+
+        def counting(self, rate, size=None):
+            draws[self.stream] += size is not None
+            return exponential(self, rate, size)
+
+        config = SimConfig(seed=5, horizon_publications=3_000, sample_n_distribution=True, record_updates=3_000)
+        monkeypatch.setattr(_DenseReadSource, "exponential", counting)
+        got = simulate(ModelParams(*params), config)
+        assert draws["arrivals"] >= 3 * draws["writes"]
+        monkeypatch.setattr(_DenseReadSource, "exponential", exponential)
+        want, _ = _event_loop(params, config)
+        for field in ("mean_active_updates", "mean_age", "ci_half_width_n", "ci_half_width_age", "mean_busy_readers"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9, abs=0.0), field
+        assert (got.publications, got.reads_served) == (want.publications, want.reads_served)
+        assert list(got.n_histogram) == list(want.n_histogram)
+        assert got.n_histogram == pytest.approx(want.n_histogram, rel=1e-9, abs=0.0)
+        assert got.update_records == want.update_records
+
+    def test_read_heavy_peak_within_twelve_slab_arrays(self):
+        # at 20 reads per publication a slab is almost all reads; numpy.random is imported
+        # first, since its import is not the simulator's (5 slab arrays' worth, traced)
+        RandomSource(0)
+        tracemalloc.start()
+        try:
+            simulate(ModelParams(0.5, 10, 1), SimConfig(seed=1, horizon_publications=50_000, sample_n_distribution=True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 8 * simulator._SLAB_EVENTS
+
+    @pytest.mark.parametrize("histogram", [False, True])
+    def test_overflowing_read_load_is_a_config_error(self, histogram, monkeypatch):
+        # lam/mu = 1e318 overflows; nothing is drawn, with or without the histogram
+        drawn = Counter()
+        exponential = RandomSource.exponential
+
+        def counting(self, rate, size=None):
+            drawn[self.stream] += 1
+            return exponential(self, rate, size)
+
+        monkeypatch.setattr(RandomSource, "exponential", counting)
+        config = SimConfig(horizon_publications=1000, batch_count=10, sample_n_distribution=histogram)
+        with pytest.raises(ConfigError, match="lambda/mu"):
+            simulate(ModelParams(1, 1e308, 1e-10), config)
+        with pytest.raises(ConfigError, match="lambda/mu"):
+            simulate(ModelParams(1, 1e308, 1), config)  # lam/mu is finite, the histogram's cap is not
+        assert not drawn
+
+
 # the shared-deadline E[N] = 1 + (alpha/mu) int_0^1 Ein(rho (1 - v^(mu/alpha))) dv at (alpha, lam, mu),
 # as perfbench/judge.py's en_shared computes it
 EN_SHARED = {(3000, 10, 1): 10.980054635479926, (100, 1, 1): 1.985276772316742}

@@ -405,8 +405,7 @@ class TestOracleDomain:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rate_scan_against_mpmath(self):
-        # (q^k - 1)/(mu w) as 40-digit expm1(-k log1p(mu/alpha))/(mu w): where mu/alpha underflows to 0,
-        # i3_closed and i4_closed return 0 and are no reference
+        # (q^k - 1)/(mu w) as 40-digit expm1(-k log1p(mu/alpha))/(mu w)
         rates = [1e-300, 1e-100, 1e-10, 1e-6, 1.0, 1e6, 1e10, 1e300]
         points = list(itertools.product(rates, rates, [1, 50], [1e-3, 1.0, 1e3]))
         alpha, mu, k, w = (np.array(col) for col in zip(*points))
@@ -418,6 +417,18 @@ class TestOracleDomain:
                 r4 = mpmath.exp(-m * ww) * r3
                 assert abs(n3[i] - float(r3)) <= 1e-12 * abs(float(r3)), points[i]
                 assert abs(n4[i] - float(r4)) <= 1e-12 * abs(float(r4)), points[i]
+
+    def test_closed_forms_where_rate_ratio_underflows(self):
+        # the 12 points of the scan above where mu/alpha underflows to 0, against 40-digit mpmath:
+        # expm1(-k log1p(mu/alpha)) would give -0.0 there
+        points = list(itertools.product([1e300], [1e-300, 1e-100], [1, 50], [1e-3, 1.0, 1e3]))
+        assert all(m / a == 0.0 for a, m, _, _ in points)
+        with mpmath.workdps(40):
+            for a, m, k, w in points:
+                r3 = mpmath.expm1(-k * mpmath.log1p(mpmath.mpf(m) / a)) / (mpmath.mpf(m) * w)
+                r4 = mpmath.exp(-mpmath.mpf(m) * w) * r3
+                assert i3_closed(a, m, k, w) == pytest.approx(float(r3), rel=1e-13, abs=0.0), (a, m, k, w)
+                assert i4_closed(a, m, k, w) == pytest.approx(float(r4), rel=1e-13, abs=0.0), (a, m, k, w)
 
 
 # 300 log-uniform (alpha, mu, k, w) points, far wider than the `validate` grid
