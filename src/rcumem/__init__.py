@@ -25,7 +25,6 @@ from .simulator import (
     ConfigError,
     SimConfig,
     SimStats,
-    UpdateRecord,
     simulate,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "RandomSource",
     "SimConfig",
     "SimStats",
-    "UpdateRecord",
     "a_w",
     "avg_age",
     "b_k",

@@ -46,7 +46,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation run: seed, measurement horizon, CI batching.
+    """One simulation run: seed, measurement horizon, CI batching, footprint histogram.
 
     The run starts in its stationary state and measures from time 0. The
     horizon is counted in publications after time 0, so sweeps over alpha
@@ -57,10 +57,9 @@ class SimConfig:
     horizon_publications: int = 100_000
     batch_count: int = 20
     sample_n_distribution: bool = False
-    record_updates: int = 0  # keep lifecycle records for this many updates published after time 0
 
     def __post_init__(self):
-        for name in ("horizon_publications", "batch_count", "record_updates"):
+        for name in ("horizon_publications", "batch_count"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -72,19 +71,6 @@ class SimConfig:
             raise ConfigError(
                 f"batch_count must be <= horizon_publications ({self.horizon_publications}), got {self.batch_count}"
             )
-        if self.record_updates < 0:
-            raise ConfigError(f"record_updates must be >= 0, got {self.record_updates}")
-
-
-@dataclass(frozen=True)
-class UpdateRecord:
-    """Lifecycle of one published copy, for trace-level inspection."""
-
-    index: int
-    publish_time: float
-    replace_time: float | None
-    residual_readers: int
-    grace_end_time: float | None
 
 
 @dataclass(frozen=True)
@@ -97,7 +83,6 @@ class SimStats:
     reads_served: int
     mean_busy_readers: float
     n_histogram: dict[int, float] | None
-    update_records: tuple[UpdateRecord, ...] = ()
 
 
 # the standard normal 0.975 quantile
@@ -268,20 +253,28 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
     age area of each sawtooth window is built in place in one more such
     buffer, (0.5 dt + age) dt with dt in the spent draws, and summed per
     batch by np.add.reduceat at the slab's batch boundaries (pairwise, as
-    numpy sums); the running total adds those few sums.
+    numpy sums); the running total adds those few sums. One row per
+    boundary holds the cumulative (stale area, age area, time) there, and
+    the batch sums are the differences of consecutive rows.
+
+    A run that could never finish raises ConfigError before any draw: where
+    1/alpha overflows, or where its lam horizon/alpha reads exceed 2**63.
     """
     validate(params)
     alpha, lam, mu = params.alpha, params.lam, params.mu
     # Poisson(lam/mu) reads are in service at 0, and the histogram's cap is 10 lam/mu levels up
     if not math.isfinite(10.0 * lam / mu):
         raise ConfigError(f"lambda/mu too large to simulate: {lam}/{mu}")
+    # at ~2e7 reads/s, 2**63 reads would take millennia
+    horizon = config.horizon_publications
+    if not math.isfinite(1.0 / alpha) or lam * horizon / alpha > 2.0**63:
+        raise ConfigError(f"alpha too small to simulate {horizon} publications at lambda {lam}: {alpha}")
 
     writes = RandomSource(config.seed, "writes")
     arrivals = RandomSource(config.seed, "arrivals")
     services = RandomSource(config.seed, "services")
     slab = max(1, int(_SLAB_EVENTS * alpha / (alpha + lam)))
 
-    horizon = config.horizon_publications
     nb = config.batch_count
     boundaries = np.array([((i + 1) * horizon) // nb for i in range(nb)])
 
@@ -297,11 +290,8 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
     pubs = 0  # publications after 0 so far, and the index of the copy current at the slab's start
     reads_served = 0
     area_stale = area_age = area_reads = 0.0  # area_stale integrates N(t) - 1
-    snap_stale: list[float] = []
-    snap_age: list[float] = []
-    snap_t: list[float] = []
-    rec_left = config.record_updates
-    recs: list[tuple[np.ndarray, ...]] = []
+    # the cumulative (stale area, age area, time) at 0 and at each batch boundary
+    snaps = np.zeros((nb + 1, 3))
 
     # a slab's publication times and sawtooth window areas, in buffers every slab reuses
     pub_buf = np.empty(min(slab, horizon) + 1)
@@ -342,17 +332,6 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
         last_done = np.maximum.reduceat(c_t, first)
         replaced = pub[u + 1]
         ext = last_done > replaced
-
-        if rec_left > 0:
-            ks = np.arange(int(pubs == 0), n_new)[:rec_left]  # the copy current at 0 was published before it
-            # records alone need every read's window and every copy's grace end
-            win = np.repeat(u, np.diff(np.append(first, len(a_t))))
-            grace = pub[1:].copy()
-            grace[u[ext]] = last_done[ext]
-            late = c_t >= pub[win + 1]
-            residual = np.bincount(win[late], minlength=n_new)
-            recs.append((pubs + ks, pub[ks], pub[ks + 1], residual[ks], grace[ks]))
-            rec_left -= len(ks)
 
         g_end = np.concatenate((open_grace, last_done[ext]))
         lo = max(start, 0.0)  # the measurement starts at 0, inside the first slab's window
@@ -395,12 +374,13 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
         # batch boundaries are publication times, so both areas are exact there; a
         # boundary's offset ends a segment of age windows, and one at the slab's
         # last publication ends an empty last segment, which reduceat rejects
-        off = boundaries[(boundaries > pubs) & (boundaries <= pubs + n_new)] - pubs
-        tau = pub[off]
-        snap_stale.extend(area_stale + float(np.maximum(np.minimum(xe, t) - xs, 0.0).sum()) for t in tau.tolist())
+        b0, b1 = np.searchsorted(boundaries, (pubs, pubs + n_new), side="right")
+        off = boundaries[b0:b1] - pubs
+        rows = snaps[b0 + 1 : b1 + 1]
+        rows[:, 2] = pub[off]
+        rows[:, 0] = [area_stale + float(np.maximum(np.minimum(xe, t) - xs, 0.0).sum()) for t in rows[:, 2].tolist()]
         cum_age = np.cumsum(np.add.reduceat(area, np.concatenate(([0], off[off < len(area)]))))
-        snap_age.extend((area_age + cum_age[: len(off)]).tolist())
-        snap_t.extend(tau.tolist())
+        rows[:, 1] = area_age + cum_age[: len(off)]
         area_stale += float((xe - xs).sum())
         area_age += float(cum_age[-1])
 
@@ -409,33 +389,17 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
         origin, start = float(pub[-2]), float(end)
 
     total_t = start  # the measurement runs from 0 to the last publication
-    starts_stale = np.concatenate(([0.0], snap_stale[:-1]))
-    starts_age = np.concatenate(([0.0], snap_age[:-1]))
-    starts_t = np.concatenate(([0.0], snap_t[:-1]))
-    durs = np.asarray(snap_t) - starts_t
+    stale_sums, age_sums, durs = np.diff(snaps, axis=0).T
     tq = _t975(nb - 1)
-    ci_n = _batch_ci(np.asarray(snap_stale) - starts_stale, durs, tq)
-    ci_age = _batch_ci(np.asarray(snap_age) - starts_age, durs, tq)
-
     histogram = None if hist is None else {n: float(w) / total_t for n, w in enumerate(hist) if w > 0}
-
-    # a copy still locked at the horizon has no grace end yet
-    records = [
-        UpdateRecord(int(i), float(p), float(r), int(n), float(g) if n == 0 or g < start else None)
-        for cols in recs
-        for i, p, r, n, g in zip(*cols)
-    ]
-    if rec_left > 0:
-        records.append(UpdateRecord(pubs, start, None, 0, None))
 
     return SimStats(
         mean_active_updates=1.0 + area_stale / total_t,
         mean_age=area_age / total_t,
-        ci_half_width_n=ci_n,
-        ci_half_width_age=ci_age,
+        ci_half_width_n=_batch_ci(stale_sums, durs, tq),
+        ci_half_width_age=_batch_ci(age_sums, durs, tq),
         publications=pubs,
         reads_served=reads_served,
         mean_busy_readers=area_reads / total_t,
         n_histogram=histogram,
-        update_records=tuple(records),
     )

@@ -6,6 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import rcumem
 from rcumem import simulator
 from rcumem.core import DomainError, ModelParams, RandomSource
 from rcumem.analytics import en_exact
@@ -50,8 +51,6 @@ class TestSimConfig:
             {"horizon_publications": 1000, "batch_count": 1001},
             {"horizon_publications": 1000.5},
             {"batch_count": 10.5},
-            {"record_updates": 2.5},
-            {"record_updates": -1},
         ],
     )
     def test_invalid(self, kw):
@@ -62,6 +61,12 @@ class TestSimConfig:
         # every run starts in its stationary state; a warmup is refused, not ignored
         with pytest.raises(TypeError):
             SimConfig(warmup_time=100.0)
+
+    def test_no_record_field(self):
+        # no per-update records are kept; asking for them is refused, not ignored
+        with pytest.raises(TypeError):
+            SimConfig(record_updates=10)
+        assert not hasattr(rcumem, "UpdateRecord") and "UpdateRecord" not in rcumem.__all__
 
 
 class TestSimulate:
@@ -93,22 +98,6 @@ class TestSimulate:
         assert stats.ci_half_width_age >= 0.0
         assert stats.publications == 5000
 
-    def test_update_records_invariants(self):
-        stats = simulate(
-            ModelParams(1, 3, 1),
-            SimConfig(seed=8, horizon_publications=2000, record_updates=200),
-        )
-        closed = [r for r in stats.update_records if r.replace_time is not None]
-        assert len(closed) >= 150
-        for r in closed:
-            assert r.publish_time < r.replace_time
-            if r.grace_end_time is None:
-                continue
-            if r.residual_readers > 0:
-                assert r.grace_end_time > r.replace_time
-            else:
-                assert r.grace_end_time == r.replace_time
-
 
 def _event_loop(params, config):
     """simulate's SimStats by one event at a time, and how many reads in service at 0 complete.
@@ -118,7 +107,7 @@ def _event_loop(params, config):
     "arrivals" and "services" streams are drawn one variate at a time. At
     equal times a publication comes first, then an arrival, then a
     completion. The run stops at the horizon's last publication, so a read
-    completing then is not served and its copy has no grace end yet.
+    completing then is not served.
     """
     alpha, lam, mu = params
     source = simulator.RandomSource  # looked up per call, so a test can swap the stream class
@@ -142,7 +131,7 @@ def _event_loop(params, config):
     # copy 0 is current at 0; a completion's copy is None for a read on a stale copy of the draw,
     # and -1 for the end of such a copy's grace period, since the draw does not say which reads it holds
     cur, born = 0, origin  # the current copy, and the publish time of the one before it
-    publish, replace, residual, grace = {0: start}, {}, {}, {}
+    publish = {0: start}
     locks = {0: len(arr)}
     for c in comp:
         push(c, DONE, 0)
@@ -170,11 +159,8 @@ def _event_loop(params, config):
         now = t
         if kind == PUB:
             pubs += 1
-            replace[cur], residual[cur] = t, locks[cur]
             if locks[cur]:
                 stale += 1
-            else:
-                grace[cur] = t
             born, cur = publish[cur], pubs
             publish[cur], locks[cur] = t, 0
             if pubs in boundaries:
@@ -196,18 +182,11 @@ def _event_loop(params, config):
                 locks[copy] -= 1
                 if copy != cur and locks[copy] == 0:
                     stale -= 1
-                    grace[copy] = t
 
     served_at_zero = int(np.count_nonzero(np.concatenate((comp, open_reads)) < now))
     snaps = np.array(snaps)
     means = np.diff(snaps[:, :2], axis=0) / np.diff(snaps[:, 2])[:, None]
     ci_n, ci_age = simulator._t975(nb - 1) * means.std(axis=0, ddof=1) / math.sqrt(nb)
-    records = [
-        simulator.UpdateRecord(k, publish[k], replace[k], residual[k], grace.get(k))
-        for k in range(1, min(config.record_updates + 1, horizon))
-    ]
-    if config.record_updates >= horizon:
-        records.append(simulator.UpdateRecord(horizon, now, None, 0, None))
     stats = simulator.SimStats(
         mean_active_updates=1.0 + area_stale / now,
         mean_age=area_age / now,
@@ -217,7 +196,6 @@ def _event_loop(params, config):
         reads_served=served,
         mean_busy_readers=area_busy / now,
         n_histogram={n: w / now for n, w in sorted(hist.items()) if w > 0} if config.sample_n_distribution else None,
-        update_records=tuple(records),
     )
     return stats, served_at_zero
 
@@ -232,24 +210,25 @@ class _GridSource(RandomSource):
 # (params, config, _SLAB_EVENTS or None for the default, stream class); every case keeps
 # 20,000 publications or fewer, since the reference takes about 1 s per 1e5 events
 PATHWISE_CASES = {
-    "readers": ((1, 3, 1), dict(seed=1, horizon_publications=20_000, record_updates=20_000), None, RandomSource),
-    "no_readers": ((2, 0, 1), dict(seed=3, horizon_publications=5_000, record_updates=50), None, RandomSource),
+    "readers": ((1, 3, 1), dict(seed=1, horizon_publications=20_000), None, RandomSource),
+    "no_readers": ((2, 0, 1), dict(seed=3, horizon_publications=5_000), None, RandomSource),
     # about 10 reads in service at 0 and 67 arrivals over the run's 6.7 time units
-    "fast_writer": (
-        (3000, 10, 1), dict(seed=9, horizon_publications=20_000, record_updates=20_000), None, RandomSource
-    ),
+    "fast_writer": ((3000, 10, 1), dict(seed=9, horizon_publications=20_000), None, RandomSource),
     # slabs of 63 publications: the stale copies locked at 0 are carried across many of them
-    "fast_writer_small_slabs": (
-        (3000, 10, 1), dict(seed=9, horizon_publications=20_000, record_updates=20_000), 64, RandomSource
+    "fast_writer_small_slabs": ((3000, 10, 1), dict(seed=9, horizon_publications=20_000), 64, RandomSource),
+    "read_heavy": ((0.5, 10, 1), dict(seed=4, horizon_publications=2_000), None, RandomSource),
+    # one batch per publication in slabs of 3 publications: boundaries fall in every slab, and
+    # extensions straddle them
+    "batch_per_publication": (
+        (0.5, 10, 1), dict(seed=5, horizon_publications=2_000, batch_count=2_000), 64, RandomSource
     ),
-    "read_heavy": ((0.5, 10, 1), dict(seed=4, horizon_publications=2_000, record_updates=2_000), None, RandomSource),
-    # one slab, shorter than the default; the records stop one copy short of the horizon's last
-    "short_horizon": ((100, 1, 1), dict(seed=2, horizon_publications=1_000, record_updates=999), None, RandomSource),
+    # one slab, shorter than the default
+    "short_horizon": ((100, 1, 1), dict(seed=2, horizon_publications=1_000), None, RandomSource),
     # publications, arrivals and completions on a 1/8 grid, so the tie order decides windows and
     # residuals; at about 2 reads per publication, 3 of the 239 slabs of 64 events hold no more reads
     # than publications, so both _read_windows branches are taken; and at seed 7 a read completes
     # at the last publication, so it is not served
-    "ties": ((1, 2, 1), dict(seed=7, horizon_publications=5_000, record_updates=5_000), 64, _GridSource),
+    "ties": ((1, 2, 1), dict(seed=7, horizon_publications=5_000), 64, _GridSource),
 }
 
 
@@ -270,7 +249,6 @@ class TestPathwise:
         assert (got.publications, got.reads_served) == (want.publications, want.reads_served)
         assert list(got.n_histogram) == list(want.n_histogram)
         assert got.n_histogram == pytest.approx(want.n_histogram, rel=1e-9, abs=0.0)
-        assert got.update_records == want.update_records
 
     def test_memory_flat_in_horizon(self):
         def peak(horizon):
@@ -297,29 +275,19 @@ class TestPathwise:
 
 
 SLAB_CASES = {
-    "read_heavy": (
-        (1, 10, 1),
-        {"seed": 3, "horizon_publications": 20_000, "sample_n_distribution": True, "record_updates": 20_005},
-    ),
+    "read_heavy": ((1, 10, 1), {"seed": 3, "horizon_publications": 20_000, "sample_n_distribution": True}),
     "write_heavy": ((1000, 1, 1), {"seed": 3, "horizon_publications": 20_000}),
     # one publication per batch: many boundaries per slab, and extensions straddling several
     "batch_per_publication": ((0.5, 10, 1), {"seed": 3, "horizon_publications": 5_000, "batch_count": 5_000}),
     # about 1 read per publication: slabs fall on both sides of _read_windows' switch
-    "mixed": (
-        (1, 1, 1),
-        {"seed": 3, "horizon_publications": 20_000, "sample_n_distribution": True, "record_updates": 20_005},
-    ),
+    "mixed": ((1, 1, 1), {"seed": 3, "horizon_publications": 20_000, "sample_n_distribution": True}),
     # a stationary start at alpha >> mu: the stale copies locked at time 0 stay locked for
     # about 1/mu = 3,000 publications, so they are carried across many slabs of 63
     "stationary_fast_writer": (
-        (3000, 10, 1),
-        {"seed": 3, "horizon_publications": 20_000, "sample_n_distribution": True, "record_updates": 20_005},
+        (3000, 10, 1), {"seed": 3, "horizon_publications": 20_000, "sample_n_distribution": True}
     ),
     # a horizon shorter than one default slab of 16,221 publications
-    "short_horizon": (
-        (100, 1, 1),
-        {"seed": 3, "horizon_publications": 1_000, "sample_n_distribution": True, "record_updates": 1_005},
-    ),
+    "short_horizon": ((100, 1, 1), {"seed": 3, "horizon_publications": 1_000, "sample_n_distribution": True}),
 }
 
 
@@ -336,7 +304,6 @@ class TestSlabIndependence:
         for field in ("mean_active_updates", "mean_age", "ci_half_width_n", "ci_half_width_age", "mean_busy_readers"):
             assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12, abs=0.0), field
         assert (got.publications, got.reads_served) == (want.publications, want.reads_served)
-        assert got.update_records == want.update_records
         if want.n_histogram is None:
             assert got.n_histogram is None
         else:
@@ -427,7 +394,7 @@ class TestReadDraws:
             draws[self.stream] += size is not None
             return exponential(self, rate, size)
 
-        config = SimConfig(seed=5, horizon_publications=3_000, sample_n_distribution=True, record_updates=3_000)
+        config = SimConfig(seed=5, horizon_publications=3_000, sample_n_distribution=True)
         monkeypatch.setattr(_DenseReadSource, "exponential", counting)
         got = simulate(ModelParams(*params), config)
         assert draws["arrivals"] >= 3 * draws["writes"]
@@ -438,7 +405,6 @@ class TestReadDraws:
         assert (got.publications, got.reads_served) == (want.publications, want.reads_served)
         assert list(got.n_histogram) == list(want.n_histogram)
         assert got.n_histogram == pytest.approx(want.n_histogram, rel=1e-9, abs=0.0)
-        assert got.update_records == want.update_records
 
     def test_read_heavy_peak_within_twelve_slab_arrays(self):
         # at 20 reads per publication a slab is almost all reads; numpy.random is imported
@@ -469,6 +435,47 @@ class TestReadDraws:
         with pytest.raises(ConfigError, match="lambda/mu"):
             simulate(ModelParams(1, 1e308, 1), config)  # lam/mu is finite, the histogram's cap is not
         assert not drawn
+
+
+class _BoundedSource(RandomSource):
+    """A RandomSource that counts its draws, over every stream, and raises past a few.
+
+    A run that would never finish then fails at once instead of stalling the
+    suite; a test resets `draws` with monkeypatch.
+    """
+
+    LIMIT = 20
+    draws = 0
+
+    def _count(self):
+        type(self).draws += 1
+        if self.draws > self.LIMIT:
+            raise RuntimeError(f"more than {self.LIMIT} draws")
+
+    def uniform(self, size=None):
+        self._count()
+        return super().uniform(size)
+
+    def exponential(self, rate, size=None):
+        self._count()
+        return super().exponential(rate, size)
+
+    def poisson(self, mean, size=None):
+        self._count()
+        return super().poisson(mean, size)
+
+
+class TestUnfinishableRuns:
+    """A run that could never finish is refused before its first draw."""
+
+    # 1/alpha overflows at the smallest subnormal; at (1e-300, 1, 1) the run would draw 1e303 reads
+    @pytest.mark.parametrize("params", [(1e-300, 1, 1), (5e-324, 1, 1), (5e-324, 0, 1)])
+    def test_config_error_with_nothing_drawn(self, params, monkeypatch):
+        monkeypatch.setattr(simulator, "RandomSource", _BoundedSource)
+        monkeypatch.setattr(_BoundedSource, "draws", 0)
+        with pytest.raises(ConfigError, match="alpha too small"):
+            simulate(ModelParams(*params), SimConfig(horizon_publications=1000))
+        assert _BoundedSource.draws == 0
 
 
 # the shared-deadline E[N] = 1 + (alpha/mu) int_0^1 Ein(rho (1 - v^(mu/alpha))) dv at (alpha, lam, mu),
