@@ -151,87 +151,18 @@ def cmd_tradeoff(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    import functools
     import os
     from concurrent.futures import ThreadPoolExecutor
 
     from . import validation  # importing it builds the quadrature rules (~7 ms); only validate needs them
 
-    samples = args.samples
-    seed = args.seed
-    if not args.quad_tol >= 0:  # NaN too, which would fail the grid check after every other check ran
-        raise ValueError(f"--quad-tol must be >= 0, got {args.quad_tol}")
-
-    cells = [
-        (ModelParams(alpha, 1.0, mu), w)
-        for w in (0.1, 1.0, 5.0)
-        for alpha in (0.5, 1.0, 2.0)
-        for mu in (0.5, 1.0, 2.0)
-    ]
-
-    def lemma1_job(k: int):
-        # Lemma 1 Monte Carlo against the closed form, one shared draw per k
-        lines = []
-        for (p, w), est in zip(cells, validation.lemma1_cells(k, cells, samples, seed)):
-            target = analytics.lemma1_epsilon(p, k, w)
-            dev = abs(est.estimate - target)
-            lines.append((
-                f"lemma1 k={k} w={w} alpha={p.alpha} mu={p.mu}",
-                dev <= 3.5 * max(est.std_error, 1e-12),
-                f"mc={est.estimate:.6f} closed={target:.6f} dev={dev:.2e} se={est.std_error:.2e}",
-            ))
-        return lines
-
-    def p_ek_job(alpha: float, lam: float, mu: float, k: int):
-        # grace-period survival: Monte Carlo vs the series form
-        p = ModelParams(alpha, lam, mu)
-        series = analytics.p_ek_series(p, k)
-        est = validation.mc_p_ek(p, k, samples, seed)
-        dev = abs(est.estimate - series)
-        return [(
-            f"p_ek mc-vs-series alpha={alpha} lam={lam} mu={mu} k={k}",
-            dev <= 3.5 * max(est.std_error, 1e-12),
-            f"mc={est.estimate:.6f} series={series:.6f} dev={dev:.2e} se={est.std_error:.2e}",
-        )]
-
-    def quadrature_job():
-        # series vs quadrature, one array call of each over k per (alpha, lam)
-        worst = 0.0
-        ks = np.arange(1, 21)
-        for alpha in (0.5, 1.0, 2.0, 5.0, 10.0, 100.0):
-            for lam in (1.0, 5.0, 10.0):
-                p = ModelParams(alpha, lam, 1.0)
-                dev = np.abs(analytics.p_ek_series(p, ks) - analytics.p_ek_quadrature(p, ks))
-                worst = max(worst, float(dev.max()))
-        return [("series-vs-quadrature grid", worst <= args.quad_tol, f"max dev={worst:.2e} tol={args.quad_tol:g}")]
-
-    def appendix_job():
-        # appendix integral identities
-        checks = validation.appendix_identity_checks()
-        worst_name, worst_err = max(((n, e) for n, _, _, e in checks), key=lambda t: t[1])
-        return [("appendix identities", worst_err <= 1e-6, f"max dev={worst_err:.2e} at {worst_name}")]
-
-    # Eight independent jobs in report order, each returning its report lines.
-    # Each Monte Carlo oracle draws only from its own RandomSource(seed,
-    # stream), so running the jobs at once, one thread per usable core,
-    # changes no draw; most of their time is in numpy calls that release the
-    # GIL. No job peaks much above 1.6 MiB (mc_p_ek streams its chunk, the
-    # appendix checks go in slices), as each thread's malloc arena keeps about
-    # what its largest job held.
-    jobs = [
-        *(functools.partial(lemma1_job, k) for k in (1, 2, 5)),
-        *(
-            functools.partial(p_ek_job, *point)
-            for point in [(1.0, 1.0, 1.0, 1), (1.0, 10.0, 1.0, 1), (2.0, 5.0, 1.0, 2)]
-        ),
-        quadrature_job,
-        appendix_job,
-    ]
+    # The checks run at once, one thread per usable core, mostly in numpy calls that release
+    # the GIL; none peaks much above 1.6 MiB, about what each thread's malloc arena keeps.
+    # map yields in check order, so the output is a serial run's; a check's error is raised
+    # after the lines before it and cancels the checks not yet started.
     ok = True
-    # map yields in job order, so the output is a serial run's; a job's error
-    # is raised after the lines before it and cancels the jobs not yet started
     with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
-        for lines in pool.map(lambda job: job(), jobs):
+        for lines in pool.map(lambda check: check(), validation.checks(args.samples, args.seed)):
             for name, passed, detail in lines:
                 ok = ok and passed
                 print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
@@ -272,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("validate", help="run the oracle grid")
     sp.add_argument("--samples", type=int, default=1_000_000, help="Monte Carlo samples per check")
     sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--quad-tol", type=float, default=1e-8, help="series-vs-quadrature tolerance")
     sp.set_defaults(func=cmd_validate)
 
     return parser

@@ -257,17 +257,19 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
     boundary holds the cumulative (stale area, age area, time) there, and
     the batch sums are the differences of consecutive rows.
 
-    A run that could never finish raises ConfigError before any draw: where
-    1/alpha overflows, or where its lam horizon/alpha reads exceed 2**63.
+    A run that could never finish, or whose age area would overflow,
+    raises ConfigError before any draw: where 2 horizon/alpha^2 passes
+    1e306, or where its lam horizon/alpha reads exceed 2**63.
     """
     validate(params)
     alpha, lam, mu = params.alpha, params.lam, params.mu
     # Poisson(lam/mu) reads are in service at 0, and the histogram's cap is 10 lam/mu levels up
     if not math.isfinite(10.0 * lam / mu):
         raise ConfigError(f"lambda/mu too large to simulate: {lam}/{mu}")
-    # at ~2e7 reads/s, 2**63 reads would take millennia
+    # the age area sums to about 2 horizon/alpha^2, and 1e306 leaves a factor 180 for the longest
+    # window and the spread (1/alpha overflowing passes it); 2**63 reads at ~2e7/s take millennia
     horizon = config.horizon_publications
-    if not math.isfinite(1.0 / alpha) or lam * horizon / alpha > 2.0**63:
+    if 2.0 * horizon / alpha / alpha > 1e306 or lam * horizon / alpha > 2.0**63:
         raise ConfigError(f"alpha too small to simulate {horizon} publications at lambda {lam}: {alpha}")
 
     writes = RandomSource(config.seed, "writes")

@@ -6,16 +6,18 @@ recomputes the densities and integrals used in deriving them. These are
 test infrastructure: slower than the analytics module, and sharing with it
 only numpy's Gauss-Legendre nodes, laid out on panels by
 core._legendre_panels; the integrands and changes of variable are their own.
+checks() is `rcumem validate`'s battery of them against the closed forms.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ConvergenceError, DomainError, ModelParams, RandomSource, _float_or_array, _legendre_panels, validate
-from .analytics import lemma1_epsilon
+from .analytics import lemma1_epsilon, p_ek_quadrature, p_ek_series
 
 
 @dataclass(frozen=True)
@@ -412,6 +414,12 @@ def fy_normalization(mu, w):
     return _float_or_array(i1_numeric(mu, w) + pos)
 
 
+# validate's grid: the Lemma 1 cells take (alpha, mu, w) and the appendix identities
+# (alpha, mu, k, w) from these values, and Lemma 1 is checked at each k
+_RATES = (0.5, 1.0, 2.0)
+_KS = (1, 2, 5)
+_WS = (0.1, 1.0, 5.0)
+
 # grid rows per array call: the numerics' temporaries are rows x 656 nodes, so
 # the 81-row default grid in one call peaked at 2.9 MiB and 27 rows peak at
 # 1.0 MiB; rows do not interact, so any slicing gives the same values
@@ -426,13 +434,7 @@ def appendix_identity_checks(grid=None) -> list[tuple[str, float, float, float]]
     slice of _APPENDIX_ROWS grid rows.
     """
     if grid is None:
-        grid = [
-            (alpha, mu, k, w)
-            for alpha in (0.5, 1.0, 2.0)
-            for mu in (0.5, 1.0, 2.0)
-            for k in (1, 2, 5)
-            for w in (0.1, 1.0, 5.0)
-        ]
+        grid = [(alpha, mu, k, w) for alpha in _RATES for mu in _RATES for k in _KS for w in _WS]
     rows = np.array(grid, dtype=float).reshape(-1, 4)
     numeric = []
     for i in range(0, len(rows), _APPENDIX_ROWS):
@@ -457,3 +459,52 @@ def appendix_identity_checks(grid=None) -> list[tuple[str, float, float, float]]
         out.append((f"Lemma1 {tag}", nl, cl, abs(nl - cl)))
         out.append((f"fY-norm {tag}", nn, 1.0, abs(nn - 1.0)))
     return out
+
+
+_MC_SES = 3.5  # a Monte Carlo line passes within this many standard errors (at least 1e-12)
+_QUAD_TOL = 1e-8  # the series against the quadrature
+_APPENDIX_TOL = 1e-6  # each appendix integral against its closed form
+
+
+def _mc_line(name: str, est: McEstimate, label: str, target: float) -> tuple[str, bool, str]:
+    """One (name, passed, detail) line of a Monte Carlo estimate against its target."""
+    dev = abs(est.estimate - target)
+    detail = f"mc={est.estimate:.6f} {label}={target:.6f} dev={dev:.2e} se={est.std_error:.2e}"
+    return name, dev <= _MC_SES * max(est.std_error, 1e-12), detail
+
+
+def checks(samples: int, seed: int) -> list:
+    """validate's eight checks in report order, each a callable returning its (name, passed, detail) lines.
+
+    Lemma 1 at k = 1, 2, 5 (one shared draw each), P(E_k) at three points, the
+    series against the quadrature (one array call of each over k per (alpha,
+    lam)), the appendix identities. Each Monte Carlo check draws only from its
+    own RandomSource(seed, stream), so the checks may run at once; each looks
+    its oracles and closed forms up in this module when it runs.
+    """
+
+    def lemma1(k):
+        cells = [(ModelParams(alpha, 1.0, mu), w) for w in _WS for alpha in _RATES for mu in _RATES]
+        return [_mc_line(f"lemma1 k={k} w={w} alpha={p.alpha} mu={p.mu}", est, "closed", lemma1_epsilon(p, k, w))
+                for (p, w), est in zip(cells, lemma1_cells(k, cells, samples, seed))]
+
+    def p_ek(alpha, lam, mu, k):
+        p = ModelParams(alpha, lam, mu)
+        series, est = p_ek_series(p, k), mc_p_ek(p, k, samples, seed)
+        return [_mc_line(f"p_ek mc-vs-series alpha={alpha} lam={lam} mu={mu} k={k}", est, "series", series)]
+
+    def quadrature():
+        worst, ks = 0.0, np.arange(1, 21)
+        for alpha in (0.5, 1.0, 2.0, 5.0, 10.0, 100.0):
+            for lam in (1.0, 5.0, 10.0):
+                p = ModelParams(alpha, lam, 1.0)
+                worst = max(worst, float(np.abs(p_ek_series(p, ks) - p_ek_quadrature(p, ks)).max()))
+        return [("series-vs-quadrature grid", worst <= _QUAD_TOL, f"max dev={worst:.2e} tol={_QUAD_TOL:g}")]
+
+    def appendix():
+        name, err = max(((n, e) for n, _, _, e in appendix_identity_checks()), key=lambda t: t[1])
+        return [("appendix identities", err <= _APPENDIX_TOL, f"max dev={err:.2e} at {name}")]
+
+    points = [(1.0, 1.0, 1.0, 1), (1.0, 10.0, 1.0, 1), (2.0, 5.0, 1.0, 2)]
+    return [*(functools.partial(lemma1, k) for k in _KS), *(functools.partial(p_ek, *pt) for pt in points),
+            quadrature, appendix]

@@ -211,12 +211,13 @@ class TestNoWarmupOption:
 class TestValidateCommand:
     def test_reduced_run_reports_checks(self, capsys):
         # small sample count keeps this fast; the command must emit one
-        # PASS/FAIL line per check and exit nonzero iff any check failed
+        # PASS/FAIL line per check, in the shape perfbench/judge.py counts,
+        # and exit nonzero iff any check failed
         code, out, _ = run(capsys, "validate", "--samples", "20000", "--seed", "3")
-        lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-        assert len(lines) >= 80
-        assert any("series-vs-quadrature" in l for l in lines)
-        assert any("appendix identities" in l for l in lines)
+        lines = out.splitlines()
+        assert all(l.startswith(("PASS  ", "FAIL  ")) for l in lines)
+        kinds = [l[6:].split(" ", 1)[0] for l in lines]
+        assert kinds == ["lemma1"] * 81 + ["p_ek"] * 3 + ["series-vs-quadrature", "appendix"]
         has_fail = any(l.startswith("FAIL") for l in lines)
         assert code == (1 if has_fail else 0)
 
@@ -229,17 +230,19 @@ class TestValidateCommand:
             l for l in out.splitlines() if l.startswith("FAIL")
         )
 
-    def test_impossible_quadrature_tolerance_fails(self, capsys):
-        code, out, _ = run(capsys, "validate", "--samples", "20000", "--quad-tol", "1e-15")
+    def test_quadrature_off_by_1e_7_fails(self, capsys, monkeypatch):
+        # the series-vs-quadrature tolerance is fixed at 1e-8
+        p_ek_quadrature = validation.p_ek_quadrature
+        monkeypatch.setattr(validation, "p_ek_quadrature", lambda params, k: p_ek_quadrature(params, k) + 1e-7)
+        code, out, _ = run(capsys, "validate", "--samples", "20000")
         assert code == 1
-        assert any(l.startswith("FAIL") and "series-vs-quadrature" in l for l in out.splitlines())
+        assert any(l.startswith("FAIL  series-vs-quadrature grid: max dev=1.00e-07 tol=1e-08") for l in out.splitlines())
 
-    @pytest.mark.parametrize("tol", ["nan", "-1e-8"])
-    def test_bad_quadrature_tolerance_exit_2_before_any_check(self, capsys, tol):
-        code, out, err = run(capsys, "validate", "--samples", "20000", f"--quad-tol={tol}")
+    def test_quad_tol_is_rejected(self, capsys):
+        code, out, err = run(capsys, "validate", "--samples", "20000", "--quad-tol", "1e-8")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: --quad-tol")
+        assert "unrecognized arguments: --quad-tol" in err
 
 
 class TestValidatePool:

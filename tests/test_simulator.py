@@ -1,6 +1,7 @@
 import heapq
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -468,14 +469,25 @@ class _BoundedSource(RandomSource):
 class TestUnfinishableRuns:
     """A run that could never finish is refused before its first draw."""
 
-    # 1/alpha overflows at the smallest subnormal; at (1e-300, 1, 1) the run would draw 1e303 reads
-    @pytest.mark.parametrize("params", [(1e-300, 1, 1), (5e-324, 1, 1), (5e-324, 0, 1)])
+    # 1/alpha overflows at the smallest subnormal; at (1e-300, 1, 1) the run would draw 1e303
+    # reads; at lam = 0 and alpha <= 1e-155 the age area of 1,000 publications would overflow
+    @pytest.mark.parametrize("params", [
+        (1e-300, 1, 1), (5e-324, 1, 1), (5e-324, 0, 1), (1e-155, 0, 1), (1e-160, 0, 1), (1e-300, 0, 1),
+    ])
     def test_config_error_with_nothing_drawn(self, params, monkeypatch):
         monkeypatch.setattr(simulator, "RandomSource", _BoundedSource)
         monkeypatch.setattr(_BoundedSource, "draws", 0)
         with pytest.raises(ConfigError, match="alpha too small"):
             simulate(ModelParams(*params), SimConfig(horizon_publications=1000))
         assert _BoundedSource.draws == 0
+
+    def test_small_alpha_below_the_bound_stays_finite(self):
+        # 2 horizon/alpha^2 = 2e303 here; warnings are errors, so an overflow would raise
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st = simulate(ModelParams(1e-150, 0, 1), SimConfig(horizon_publications=1000))
+        assert math.isfinite(st.mean_age) and math.isfinite(st.ci_half_width_age)
+        assert st.mean_age == pytest.approx(2e150, rel=0.2)
 
 
 # the shared-deadline E[N] = 1 + (alpha/mu) int_0^1 Ein(rho (1 - v^(mu/alpha))) dv at (alpha, lam, mu),
