@@ -216,7 +216,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, DomainError, ConfigError, ConvergenceError, OSError) as e:
+    except (ValueError, DomainError, ConfigError, ConvergenceError, OSError, MemoryError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

@@ -169,15 +169,16 @@ class RandomSource:
         return self._gen.random(size)
 
     def exponential(self, rate: float, size: int | None = None):
-        """Exponential(rate) via inverse transform -log(1-U)/rate."""
+        """Exponential(rate) via inverse transform -log(1-U)/rate; inf where that passes the float range."""
         _check_rate(rate)
         u = self._gen.random(1 if size is None else size)
         np.log1p(np.negative(u, out=u), out=u)
-        u /= -rate
+        with np.errstate(over="ignore"):  # below a rate of about 2e-307 a variate can pass the float range
+            u /= -rate
         return u[0] if size is None else u
 
     def gamma_int(self, shape: int, rate: float, size: int | None = None):
-        """Gamma(integer shape, rate) as a sum of `shape` exponentials."""
+        """Gamma(integer shape, rate) as a sum of `shape` exponentials; inf where that passes the float range."""
         if not (1 <= shape < math.inf and shape == int(shape)):
             raise DomainError(f"shape must be a positive integer, got {shape}")
         _check_rate(rate)
@@ -194,7 +195,8 @@ class RandomSource:
             # from 8 terms numpy's pairwise sum keeps 8 partial sums, which a
             # left-to-right loop would not reproduce
             out = u.sum(axis=1)
-        out /= -rate
+        with np.errstate(over="ignore"):
+            out /= -rate
         return float(out[0]) if size is None else out
 
     def poisson(self, mean, size: int | None = None):

@@ -26,6 +26,8 @@ extensions' starts and sorted stops. Publications are handled in slabs of
 about 16k events; a slab draws its reads only as far as its end, summed and
 completed in place, and carries only the intervals still open and the reads
 drawn past its end to the next, so memory does not grow with the horizon.
+That carried state and the running totals are one _Run, whose advance
+continues the run by any number of publications; simulate makes one call.
 """
 from __future__ import annotations
 
@@ -89,52 +91,36 @@ class SimStats:
 _Z975 = 1.959963984540054
 
 
-def _log_gamma_half_ratio(a: float) -> float:
-    """ln(Gamma(a + 1/2) / Gamma(a)), without lgamma's cancellation at large a."""
-    if a < 20.0:
-        return math.lgamma(a + 0.5) - math.lgamma(a)
-    # difference of Stirling's series (z - 1/2) ln z - z + sum_j B_2j / (2j (2j - 1) z^(2j - 1))
-    # at z = a + 1/2 and z = a; the first terms omitted differ by under 4e-16 from a = 20 on
-    def s(z):
-        return (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * z * z)) / (z * z)) / (z * z)) / z
-
-    return a * math.log1p(0.5 / a) - 0.5 + 0.5 * math.log(a) + s(a + 0.5) - s(a)
-
-
 def _t975(nu: int) -> float:
-    """t_{0.975, nu}, the Student-t quantile, by Newton's method on the upper tail.
+    """t_{0.975, nu}, the Student-t quantile, by the secant method on P(|T| <= t) = 0.95.
 
-    With a = nu/2, y = t^2/nu and x = 1/(1 + y), P(T > t) = I_x(a, 1/2)/2,
-    and the continued fraction of DLMF 8.17.22 gives I_x(a, 1/2) =
-    x^a (1 - x)^{1/2} h / (a B(a, 1/2)); it converges fast where
-    x < (a + 1)/(a + 5/2), which holds for every t >= sqrt(3). Divided by
-    the density (1 + y)^{-(a + 1/2)} / (sqrt(nu) B(a, 1/2)), the tail is
-    t h / nu, so B enters only the density. The start z + (z^3 + z)/(4 nu)
-    is below the root and the tail is convex, so the iterates rise to it.
+    For an integer nu, with c = nu/(nu + t^2) and s = t/sqrt(nu + t^2),
+    P(|T| <= t) is a finite sum (Abramowitz & Stegun 26.7.3-4):
+    s (1 + c/2 + (1 3)/(2 4) c^2 + ...) for even nu, and
+    (2/pi)(asin s + s sqrt(c) (1 + 2c/3 + (2 4)/(3 5) c^2 + ...)) for odd
+    nu, each to the power c^(floor(nu/2) - 1); the terms are one cumprod.
+    The secant starts from z and z + (z^3 + z)/(4 nu), where z is the
+    normal quantile. The coverage is resolved to about 1e-16, so t only to
+    a few ulps: the iteration stops at a step under 1e-14 t, or where two
+    iterates' coverages are equal.
     """
-    a = 0.5 * nu
-    log_b = 0.5 * math.log(math.pi) - _log_gamma_half_ratio(a)  # ln B(a, 1/2)
-    t = _Z975 + (_Z975**3 + _Z975) / (4.0 * nu)
+    odd = nu % 2
+    j = np.arange(1, nu // 2)
+    ratios = (2 * j - 1 + odd) / (2 * j + odd)
+
+    def coverage(t):
+        c, s = nu / (nu + t * t), t / math.sqrt(nu + t * t)
+        terms = 1.0 + float(np.cumprod(ratios * c).sum())
+        return 2.0 / math.pi * (math.asin(s) + s * math.sqrt(c) * terms) if odd else s * terms
+
+    t0, t = _Z975, _Z975 + (_Z975**3 + _Z975) / (4.0 * nu)
+    f0 = coverage(t0) - 0.95
     for _ in range(50):
-        y = t * t / nu
-        x = 1.0 / (1.0 + y)
-        # modified Lentz evaluation of 1/(1 + d_1/(1 + d_2/(1 + ...)))
-        c, d = 1.0, 1.0 / (1.0 - (a + 0.5) * x / (a + 1.0))
-        h = d
-        for m in range(1, 10_000):
-            for num in (
-                m * (0.5 - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
-                -(a + m) * (a + 0.5 + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
-            ):
-                d = 1.0 / (1.0 + num * d)
-                c = 1.0 + num / c
-                h *= d * c
-            if abs(d * c - 1.0) <= 1e-16:
-                break
-        density = math.exp(-log_b - (a + 0.5) * math.log1p(y)) / math.sqrt(nu)
-        step = t * h / nu - 0.025 / density
-        t += step
-        if abs(step) <= 1e-9 * t:  # Newton converges quadratically: the error left is ~step^2
+        f = coverage(t) - 0.95
+        if f == f0:
+            break
+        t0, t, f0 = t, t - f * (t - t0) / (f - f0), f
+        if abs(t - t0) <= 1e-14 * t:
             break
     return t
 
@@ -153,8 +139,14 @@ def _read_windows(pub: np.ndarray, a_t: np.ndarray) -> tuple[np.ndarray, np.ndar
     len(a_t)), and every other window holds none. pub and a_t are sorted,
     and every read lies in [pub[0], pub[-1]); of tied publications the last one
     holds the window, so a read at a publication's time sees that
-    publication. Both branches give the same runs; the switch between them
-    is explained in simulate.
+    publication. Both branches give the same runs, and neither makes an
+    array per read, so the two cost about the same near 1 read per
+    publication, where the switch sits: forced on every slab, the
+    per-publication search (P log R + P against R log P + R) made a run
+    take 1.12-1.15x as long at 0.5 reads per publication, 0.96-0.97x at 1,
+    0.90-0.92x at 2, 0.85-0.90x at 2.5, 0.74-0.77x at 10 and 0.67-0.71x at
+    20 (horizon 100k publications, 2 vCPUs; the ratio of medians over 15
+    interleaved runs, three times).
     """
     if len(a_t) > len(pub):
         idx = np.searchsorted(a_t, pub, side="left")
@@ -172,7 +164,7 @@ def _stationary_state(params: ModelParams, source: RandomSource) -> tuple:
     times of the current copy and of the one before it, the arrivals (in
     order) and completions of the reads in service on the current copy,
     the grace ends of the stale copies still locked, and every completion
-    of their reads, as simulate carries them from one slab to the next.
+    of their reads, as _Run carries them from one slab to the next.
 
     The publications before 0 are a Poisson(alpha) process run backwards:
     the last two are at -E1 and -(E1 + E2), with E1, E2 ~ Exp(alpha). The
@@ -209,53 +201,168 @@ def _stationary_state(params: ModelParams, source: RandomSource) -> tuple:
     return start, origin, arr[cur:], hold[cur:], open_grace, stale
 
 
+class _Run:
+    """A run from its stationary start: the slab loop's carried state and running totals.
+
+    state is (start, origin, arr, comp, open_grace, open_reads), first
+    _stationary_state's draw from its own stream ("initial") and then what
+    each slab carries to the next: the publish times of the copy current at
+    the next slab's start and of the one before it, the reads drawn that
+    arrive at or after `start` and their completions, and the grace ends of
+    earlier copies and the completions of earlier reads still open at
+    `start`. end and last_arr are the last publication and read arrival so
+    far, summed from 0, and pubs counts the publications after 0. The areas
+    integrate N(t) - 1, the age and the busy-reader count from 0 to end.
+    """
+
+    def __init__(self, params: ModelParams, seed: int, histogram: bool):
+        self.rates = alpha, lam, mu = params.alpha, params.lam, params.mu
+        self.writes = RandomSource(seed, "writes")
+        self.arrivals = RandomSource(seed, "arrivals")
+        self.services = RandomSource(seed, "services")
+        self.slab = max(1, int(_SLAB_EVENTS * alpha / (alpha + lam)))
+        # the histogram's levels, up to a cap of 1 + ceil(10 lam/mu) + 20
+        self.hist = np.zeros(math.ceil(10.0 * lam / mu) + 22) if histogram else None
+        self.state = _stationary_state(params, RandomSource(seed, "initial"))
+        self.end = self.last_arr = 0.0
+        self.pubs = self.reads_served = 0
+        self.area_stale = self.area_age = self.area_reads = 0.0
+
+    def advance(self, publications: int, boundaries: np.ndarray) -> np.ndarray:
+        """Run `publications` more publications; the cumulative (stale area, age area, time) at each boundary.
+
+        boundaries are increasing publication counts; a row is returned for
+        each in (pubs, pubs + publications], where both areas are exact.
+
+        A slab's publication times are the running sum of its draws. It
+        draws lam (end - last arrival) reads plus four standard deviations,
+        at most _SLAB_EVENTS at a time, until one arrives at or after its
+        end; the arrival times are summed on the draw and the completions
+        added onto the hold draw, both in place. The busy-reader area, the
+        served count and the reads carried on come from one array of the
+        slab's completions: a read is served once it completes before a
+        slab's end, so one completing at a call's last publication is still
+        held, and served by the next call. The age area of each sawtooth window, (0.5 dt + age) dt,
+        is built in place in one buffer and summed per batch by
+        np.add.reduceat at the slab's batch boundaries (pairwise, as numpy
+        sums), so the running total adds a few batch sums.
+        """
+        (alpha, lam, mu), hist = self.rates, self.hist
+        start, origin, arr, comp, open_grace, open_reads = self.state
+        end, last_arr, pubs = self.end, self.last_arr, self.pubs
+        stop = pubs + publications
+        boundaries = boundaries[(pubs < boundaries) & (boundaries <= stop)]
+        snaps = np.empty((len(boundaries), 3))
+        # a slab's publication times and sawtooth window areas, in buffers every slab reuses
+        pub_buf = np.empty(min(self.slab, publications) + 1)
+        area_buf = np.empty(len(pub_buf) - 1)
+        while pubs < stop:
+            n_new = min(self.slab, stop - pubs)
+            # pub[k] is the publish time of copy pubs+k; cumsum adds left to
+            # right, so these are the times a one-draw-at-a-time loop reaches
+            x = self.writes.exponential(alpha, n_new)
+            x[0] += end
+            pub = pub_buf[: n_new + 1]
+            np.cumsum(x, out=pub[1:])
+            pub[0] = start  # the first slab's copy was published before 0
+            end = float(pub[-1])
+
+            # the reads up to `end`: the expected count plus four standard deviations, drawn
+            # again where that falls short; comp gathers the completions, the carried ones first
+            comp = [open_reads, comp]
+            while lam > 0 and (len(arr) == 0 or arr[-1] < end):
+                m = lam * (end - last_arr)
+                n = int(min(_SLAB_EVENTS, m + 4.0 * math.sqrt(m) + 1.0))
+                arr = np.concatenate((arr, self.arrivals.exponential(lam, n)))
+                new = arr[-n:]
+                new[0] += last_arr
+                last_arr = float(np.cumsum(new, out=new)[-1])
+                comp.append(self.services.exponential(mu, n))
+                comp[-1] += new
+            cut = int(np.searchsorted(arr, end, side="left"))
+            a_t, arr = arr[:cut], arr[cut:]
+            n_open = len(open_reads)
+            r_end = np.concatenate(comp)
+            r_end, comp = r_end[: n_open + cut], r_end[n_open + cut :]
+            c_t = r_end[n_open:]
+            u, first = _read_windows(pub, a_t)
+            # only a copy with a late reader outlives its replacement, which is at or before `end`
+            last_done = np.maximum.reduceat(c_t, first)
+            replaced = pub[u + 1]
+            ext = last_done > replaced
+
+            g_end = np.concatenate((open_grace, last_done[ext]))
+            lo = max(start, 0.0)  # the measurement starts at 0, inside the first slab's window
+            # N(t) - 1 counts the extensions: copy pubs+k's on [pub[k+1], its grace end),
+            # and a copy carried from an earlier slab's on [lo, its grace end)
+            xs = np.concatenate((np.full(len(open_grace), lo), replaced[ext]))
+            xe = np.minimum(g_end, end)
+            held = xe > xs
+            xs, xe = xs[held], xe[held]
+            if hist is not None:
+                # xs is in publish order, so the stable sort merges two sorted runs;
+                # at equal times a start comes before a stop
+                times = np.concatenate((xs, np.sort(xe)))
+                order = np.argsort(times, kind="stable")
+                level = np.cumsum(np.where(order < len(xs), 1, -1)) + 1
+                dur = np.diff(np.concatenate(([lo], times[order], [end])))
+                hist += np.bincount(
+                    np.minimum(np.concatenate(([1], level)), len(hist) - 1), weights=dur, minlength=len(hist)
+                )
+
+            # sawtooth age: while copy pubs+k is current, its age runs from pub[k-1] (from
+            # origin for k = 0), so each window after the first starts at the previous one's
+            # length; the area (0.5 dt + age) dt is built in place, dt in the spent draws
+            dt = np.subtract(pub[1:], pub[:-1], out=x)
+            area = np.multiply(dt, 0.5, out=area_buf[:n_new])
+            area[1:] += dt[:-1]
+            dt[0] = pub[1] - lo
+            area[0] = 0.5 * dt[0] + (lo - origin)
+            area *= dt
+
+            # a read completing at `end` is carried, with no area, to the next slab
+            open_reads = r_end[r_end >= end]
+            self.reads_served += len(r_end) - len(open_reads)
+            # the busy-reader area, over the spent completions; only the first slab's reads start before lo
+            np.minimum(r_end, end, out=r_end)
+            r_end[:n_open] -= lo
+            r_end[n_open:] -= np.maximum(a_t, lo) if pubs == 0 else a_t
+            self.area_reads += float(r_end.sum())
+
+            # a boundary's offset ends a segment of age windows, and one at the slab's
+            # last publication ends an empty last segment, which reduceat rejects
+            b0, b1 = np.searchsorted(boundaries, (pubs, pubs + n_new), side="right")
+            off = boundaries[b0:b1] - pubs
+            rows = snaps[b0:b1]
+            rows[:, 2] = pub[off]
+            rows[:, 0] = [
+                self.area_stale + float(np.maximum(np.minimum(xe, t) - xs, 0.0).sum()) for t in rows[:, 2].tolist()
+            ]
+            cum_age = np.cumsum(np.add.reduceat(area, np.concatenate(([0], off[off < len(area)]))))
+            rows[:, 1] = self.area_age + cum_age[: len(off)]
+            self.area_stale += float((xe - xs).sum())
+            self.area_age += float(cum_age[-1])
+
+            open_grace = g_end[g_end > end]
+            pubs += n_new
+            origin, start = float(pub[-2]), end
+        self.state = start, origin, arr, comp, open_grace, open_reads
+        self.end, self.last_arr, self.pubs = end, last_arr, pubs
+        return snaps
+
+
 def simulate(params: ModelParams, config: SimConfig) -> SimStats:
     """Simulate until the horizon and return time-averaged statistics.
 
     Deterministic: identical (params, config) give bit-identical results.
-    Each stream ("writes", "arrivals", "services") is drawn in order, so
-    the sample path does not depend on how the run is cut into slabs. At
-    equal times a publication comes before a read arrival, and a read
-    arrival before a completion.
-
-    The state at time 0 is _stationary_state's draw from its own stream
-    ("initial"), so the other three keep their draws: the publications
-    after 0 are the "writes" draws summed from 0, one per publication
-    measured, and the reads arriving after 0 are the "arrivals" draws. The
-    first slab's window opens at the current copy's publication, -E1, and
-    is measured from 0; its reads begin with those in service on that copy.
-    The stale copies and their reads enter as if carried from an earlier
-    slab, and every later slab starts at the previous one's end.
-
-    A slab draws lam (end - last arrival) reads plus four standard
-    deviations, at most _SLAB_EVENTS at a time, until one arrives at or
-    after its end. The arrival times are summed on the draw and the
-    completions added onto the hold draw, both in place; the busy-reader
-    area, the served count and the reads carried on come from one array of
-    the slab's completions.
-
-    Reads go to windows by _read_windows, as runs of the sorted reads: with
-    more reads than publications in a slab it finds the publications among
-    the reads (P log R + P) instead of searching for every read (R log P +
-    R). Neither branch makes an array per read, so the two cost about the
-    same near 1 read per publication, and the switch sits there: forced on
-    every slab, the per-publication search made a run take 1.12-1.15x as
-    long at 0.5 reads per publication, 0.96-0.97x at 1, 0.90-0.92x at 2,
-    0.85-0.90x at 2.5, 0.74-0.77x at 10 and 0.67-0.71x at 20 (horizon 100k
-    publications, 2 vCPUs; the ratio of medians over 15 interleaved runs,
-    three times). Both give the same runs.
-
-    Only a copy with a late reader outlives its replacement, so only those
-    carry a grace end into the footprint and into the next slab; it is the
-    largest completion of the copy's run of reads (np.maximum.reduceat), so
-    windows without reads take no grace work. The publication times are
-    the running sum of the draws, written into one buffer made per run. The
-    age area of each sawtooth window is built in place in one more such
-    buffer, (0.5 dt + age) dt with dt in the spent draws, and summed per
-    batch by np.add.reduceat at the slab's batch boundaries (pairwise, as
-    numpy sums); the running total adds those few sums. One row per
-    boundary holds the cumulative (stale area, age area, time) there, and
-    the batch sums are the differences of consecutive rows.
+    Each stream ("initial", "writes", "arrivals", "services") is drawn in
+    order, so the sample path does not depend on how the run is cut into
+    slabs or into _Run.advance calls. At equal times a publication comes
+    before a read arrival, and a read arrival before a completion. The run
+    starts from _stationary_state's draw at time 0 and measures from there
+    to the horizon's last publication. The batch means (Law & Kelton §9.5)
+    are the differences of the cumulative areas and time at the batch
+    boundaries.
 
     A run that could never finish, or whose age area would overflow,
     raises ConfigError before any draw: where 2 horizon/alpha^2 passes
@@ -272,136 +379,21 @@ def simulate(params: ModelParams, config: SimConfig) -> SimStats:
     if 2.0 * horizon / alpha / alpha > 1e306 or lam * horizon / alpha > 2.0**63:
         raise ConfigError(f"alpha too small to simulate {horizon} publications at lambda {lam}: {alpha}")
 
-    writes = RandomSource(config.seed, "writes")
-    arrivals = RandomSource(config.seed, "arrivals")
-    services = RandomSource(config.seed, "services")
-    slab = max(1, int(_SLAB_EVENTS * alpha / (alpha + lam)))
-
+    run = _Run(params, config.seed, config.sample_n_distribution)
     nb = config.batch_count
-    boundaries = np.array([((i + 1) * horizon) // nb for i in range(nb)])
-
-    # the histogram's levels, up to a cap of 1 + ceil(10 lam/mu) + 20
-    hist = np.zeros(math.ceil(10.0 * lam / mu) + 22) if config.sample_n_distribution else None
-
-    # start and origin: the publish times of the copy current at the slab's start and of
-    # the one before it; open_grace and open_reads: the grace ends of earlier copies and
-    # the completions of earlier reads after `start`; arr and comp: the reads drawn that
-    # arrive at or after `start`
-    start, origin, arr, comp, open_grace, open_reads = _stationary_state(params, RandomSource(config.seed, "initial"))
-    end = last_arr = 0.0  # the publications and the reads after 0 are summed from 0
-    pubs = 0  # publications after 0 so far, and the index of the copy current at the slab's start
-    reads_served = 0
-    area_stale = area_age = area_reads = 0.0  # area_stale integrates N(t) - 1
-    # the cumulative (stale area, age area, time) at 0 and at each batch boundary
-    snaps = np.zeros((nb + 1, 3))
-
-    # a slab's publication times and sawtooth window areas, in buffers every slab reuses
-    pub_buf = np.empty(min(slab, horizon) + 1)
-    area_buf = np.empty(len(pub_buf) - 1)
-    done = False
-    while not done:
-        n_new = min(slab, horizon - pubs)
-        done = pubs + n_new == horizon
-        # pub[k] is the publish time of copy pubs+k; cumsum adds left to
-        # right, so these are the times a one-draw-at-a-time loop reaches
-        x = writes.exponential(alpha, n_new)
-        x[0] += end
-        pub = pub_buf[: n_new + 1]
-        np.cumsum(x, out=pub[1:])
-        pub[0] = start  # the first slab's copy was published before 0
-        end = pub[-1]
-
-        # the reads up to `end`: the expected count plus four standard deviations, drawn
-        # again where that falls short; comp gathers the completions, the carried ones first
-        comp = [open_reads, comp]
-        while lam > 0 and (len(arr) == 0 or arr[-1] < end):
-            m = lam * (end - last_arr)
-            n = int(min(_SLAB_EVENTS, m + 4.0 * math.sqrt(m) + 1.0))
-            arr = np.concatenate((arr, arrivals.exponential(lam, n)))
-            new = arr[-n:]
-            new[0] += last_arr
-            last_arr = float(np.cumsum(new, out=new)[-1])
-            comp.append(services.exponential(mu, n))
-            comp[-1] += new
-        cut = int(np.searchsorted(arr, end, side="left"))
-        a_t, arr = arr[:cut], arr[cut:]
-        n_open = len(open_reads)
-        r_end = np.concatenate(comp)
-        r_end, comp = r_end[: n_open + cut], r_end[n_open + cut :]
-        c_t = r_end[n_open:]
-        u, first = _read_windows(pub, a_t)
-        # only a copy with a late reader outlives its replacement, which is at or before `end`
-        last_done = np.maximum.reduceat(c_t, first)
-        replaced = pub[u + 1]
-        ext = last_done > replaced
-
-        g_end = np.concatenate((open_grace, last_done[ext]))
-        lo = max(start, 0.0)  # the measurement starts at 0, inside the first slab's window
-        # N(t) - 1 counts the extensions: copy pubs+k's on [pub[k+1], its grace end),
-        # and a copy carried from an earlier slab's on [lo, its grace end)
-        xs = np.concatenate((np.full(len(open_grace), lo), replaced[ext]))
-        xe = np.minimum(g_end, end)
-        held = xe > xs
-        xs, xe = xs[held], xe[held]
-        if hist is not None:
-            # xs is in publish order, so the stable sort merges two sorted runs;
-            # at equal times a start comes before a stop
-            times = np.concatenate((xs, np.sort(xe)))
-            order = np.argsort(times, kind="stable")
-            level = np.cumsum(np.where(order < len(xs), 1, -1)) + 1
-            dur = np.diff(np.concatenate(([lo], times[order], [end])))
-            hist += np.bincount(
-                np.minimum(np.concatenate(([1], level)), len(hist) - 1), weights=dur, minlength=len(hist)
-            )
-
-        # sawtooth age: while copy pubs+k is current, its age runs from pub[k-1] (from
-        # origin for k = 0), so each window after the first starts at the previous one's
-        # length; the area (0.5 dt + age) dt is built in place, dt in the spent draws
-        dt = np.subtract(pub[1:], pub[:-1], out=x)
-        area = np.multiply(dt, 0.5, out=area_buf[:n_new])
-        area[1:] += dt[:-1]
-        dt[0] = pub[1] - lo
-        area[0] = 0.5 * dt[0] + (lo - origin)
-        area *= dt
-
-        # a read is served when it completes; at the horizon's end it is still held
-        open_reads = r_end[r_end >= end if done else r_end > end]
-        reads_served += len(r_end) - len(open_reads)
-        # the busy-reader area, over the spent completions; only the first slab's reads start before lo
-        np.minimum(r_end, end, out=r_end)
-        r_end[:n_open] -= lo
-        r_end[n_open:] -= np.maximum(a_t, lo) if pubs == 0 else a_t
-        area_reads += float(r_end.sum())
-
-        # batch boundaries are publication times, so both areas are exact there; a
-        # boundary's offset ends a segment of age windows, and one at the slab's
-        # last publication ends an empty last segment, which reduceat rejects
-        b0, b1 = np.searchsorted(boundaries, (pubs, pubs + n_new), side="right")
-        off = boundaries[b0:b1] - pubs
-        rows = snaps[b0 + 1 : b1 + 1]
-        rows[:, 2] = pub[off]
-        rows[:, 0] = [area_stale + float(np.maximum(np.minimum(xe, t) - xs, 0.0).sum()) for t in rows[:, 2].tolist()]
-        cum_age = np.cumsum(np.add.reduceat(area, np.concatenate(([0], off[off < len(area)]))))
-        rows[:, 1] = area_age + cum_age[: len(off)]
-        area_stale += float((xe - xs).sum())
-        area_age += float(cum_age[-1])
-
-        open_grace = g_end[g_end > end]
-        pubs += n_new
-        origin, start = float(pub[-2]), float(end)
-
-    total_t = start  # the measurement runs from 0 to the last publication
-    stale_sums, age_sums, durs = np.diff(snaps, axis=0).T
+    snaps = run.advance(horizon, np.array([((i + 1) * horizon) // nb for i in range(nb)]))
+    stale_sums, age_sums, durs = np.diff(snaps, axis=0, prepend=0.0).T
     tq = _t975(nb - 1)
-    histogram = None if hist is None else {n: float(w) / total_t for n, w in enumerate(hist) if w > 0}
+    total_t = run.end  # the measurement runs from 0 to the last publication
+    histogram = None if run.hist is None else {n: float(w) / total_t for n, w in enumerate(run.hist) if w > 0}
 
     return SimStats(
-        mean_active_updates=1.0 + area_stale / total_t,
-        mean_age=area_age / total_t,
+        mean_active_updates=1.0 + run.area_stale / total_t,
+        mean_age=run.area_age / total_t,
         ci_half_width_n=_batch_ci(stale_sums, durs, tq),
         ci_half_width_age=_batch_ci(age_sums, durs, tq),
-        publications=pubs,
-        reads_served=reads_served,
-        mean_busy_readers=area_reads / total_t,
+        publications=run.pubs,
+        reads_served=run.reads_served,
+        mean_busy_readers=run.area_reads / total_t,
         n_histogram=histogram,
     )

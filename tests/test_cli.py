@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from rcumem import validation
+from rcumem import simulator, validation
 from rcumem.cli import CSV_HEADER, main, parse_grid, point_seed
 from rcumem.core import ConvergenceError
 
@@ -160,6 +160,21 @@ class TestSimulate:
         )
         assert code == 2
         assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_out_of_memory_exit_2(self, capsys, monkeypatch):
+        # at (1e-6, 1e6, 1e-6) the draw of the 1e12 reads in service at 0 asks for terabytes;
+        # the failure is stood in for, since a host that overcommits could grant the real request
+        def allocate(params, source):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+        monkeypatch.setattr(simulator, "_stationary_state", allocate)
+        code, out, err = run(
+            capsys, "simulate", "--alpha", "1e-6", "--lambda", "1e6", "--mu", "1e-6", "--publications", "1000",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: Unable to allocate")
         assert "Traceback" not in err
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):

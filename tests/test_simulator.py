@@ -327,6 +327,62 @@ class TestSlabIndependence:
         assert any(above) and not all(above)
 
 
+# (params, horizon, _SLAB_EVENTS or None for the default, stream class)
+RESUME_CASES = {
+    "readers": ((1, 3, 1), 5_000, None, RandomSource),
+    "no_readers": ((2, 0, 1), 5_000, None, RandomSource),
+    # two default slabs, and stale copies locked at 0 for about 3,000 publications
+    "fast_writer": ((3000, 10, 1), 20_000, None, RandomSource),
+    "small_slabs": ((0.5, 10, 1), 2_000, 64, RandomSource),
+    # event times on a 1/8 grid, so the tie order decides windows and residuals
+    "ties": ((1, 2, 1), 5_000, 64, _GridSource),
+}
+
+
+class TestResumableRun:
+    """Two _Run.advance calls, with the batch boundaries split between them, give what one call gives."""
+
+    @staticmethod
+    def _compare(name, k, monkeypatch):
+        params, horizon, slab_events, source = RESUME_CASES[name]
+        monkeypatch.setattr(simulator, "RandomSource", source)
+        if slab_events is not None:
+            monkeypatch.setattr(simulator, "_SLAB_EVENTS", slab_events)
+        boundaries = np.array([((i + 1) * horizon) // 20 for i in range(20)])
+        one, two = (simulator._Run(ModelParams(*params), 7, histogram=True) for _ in range(2))
+        want = one.advance(horizon, boundaries)
+        first = two.advance(k, boundaries)
+        carried = int(np.count_nonzero(two.state[5] == two.end))  # reads completing at the split
+        got = np.concatenate((first, two.advance(horizon - k, boundaries)))
+        assert (two.pubs, two.reads_served, two.end) == (one.pubs, one.reads_served, one.end)
+        assert got.shape == want.shape == (20, 3)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        for area in ("area_stale", "area_age", "area_reads"):
+            assert getattr(two, area) == pytest.approx(getattr(one, area), rel=1e-12, abs=0.0), area
+        assert list(np.flatnonzero(two.hist)) == list(np.flatnonzero(one.hist))
+        np.testing.assert_allclose(two.hist, one.hist, rtol=1e-12, atol=0.0)
+        return carried
+
+    @pytest.mark.parametrize("split", ["first", "mid", "last"])
+    @pytest.mark.parametrize("name", sorted(RESUME_CASES))
+    def test_split_matches_one_call(self, name, split, monkeypatch):
+        horizon = RESUME_CASES[name][1]
+        self._compare(name, {"first": 1, "mid": horizon // 2, "last": horizon - 1}[split], monkeypatch)
+
+    def test_read_completing_at_the_split_is_carried(self, monkeypatch):
+        # at seed 7 two reads complete at the 2,404th publication: held by the first call, served by the second
+        assert self._compare("ties", 2404, monkeypatch) == 2
+
+
+class TestTinyReadRate:
+    @pytest.mark.parametrize("histogram", [False, True])
+    def test_same_stats_as_no_readers(self, histogram):
+        # the one read drawn arrives at inf, an Exp(5e-324) variate past the float range, and
+        # warnings are errors in this suite
+        config = SimConfig(seed=3, horizon_publications=2000, sample_n_distribution=histogram)
+        assert simulate(ModelParams(1, 5e-324, 1), config) == simulate(ModelParams(1, 0, 1), config)
+
+
 class TestWriteDraws:
     """A run draws one "writes" variate per measured publication, however the slabs fall."""
 
