@@ -62,30 +62,21 @@ def p_ek_given_w(params: ModelParams, k: int, w: float) -> float:
 def _kummer_m(r: float, b):
     """M(1, r + 1, -b) for b >= 0 (scalar or array), with numpy alone.
 
-    M = int_0^inf exp(b expm1(-t/r) - t) dt (DLMF 13.4.1), taken three ways:
-    - r >= 10: t = s/c with c = 1 + b/r, the integrand's initial decay rate,
+    M = int_0^inf exp(b expm1(-t/r) - t) dt (DLMF 13.4.1), taken two ways:
+    - r < 10, b < 150: Kummer's transformation (DLMF 13.2.39) gives the
+      Poisson sum e^{-b} (1 + sum_{n>=1} (b^n/n!) r/(r + n)), whose terms are
+      all positive; it is cut b + 12 sqrt(b) + 40 terms in, at the largest b.
+    - elsewhere: t = s/c with c = 1 + b/r, the integrand's initial decay rate,
       gives (1/c) int_0^inf e^{-s} exp(b (expm1(-x) + x)) ds with x = s/(c r),
       for the 40-node Gauss-Laguerre rule (core._laggauss, every node below
       146.5); below x = 1e-3, expm1(-x) + x is its Taylor series, which does
       not cancel.
-    - r < 10, b < 150: Kummer's transformation (DLMF 13.2.39) gives the
-      Poisson sum e^{-b} (1 + sum_{n>=1} (b^n/n!) r/(r + n)), whose terms are
-      all positive; it is cut b + 12 sqrt(b) + 40 terms in, at the largest b.
-    - r < 10, b >= 150: y = b (1 - e^{-t/r}) gives
-      (r/b) int_0^b e^{-y} (1 - y/b)^{r-1} dy, for the same rule, whose nodes
-      all lie below b; the part beyond b is O(e^{-150}).
     Within 1e-13 relative of 30-digit mpmath for r in [1e-12, 1e10] and b in
     [0, 1e13].
     """
     b = np.asarray(b, dtype=float)
-    if r >= 10.0:
-        s, wt = _laggauss(40)
-        c = 1.0 + b / r
-        x = s / (c[..., None] * r)
-        f = np.where(x < 1e-3, x * x * (0.5 - x * (1 / 6 - x * (1 / 24 - x / 120))), np.expm1(-x) + x)
-        return np.exp(b[..., None] * f) @ wt / c
     m = np.empty_like(b)
-    small = b < 150.0
+    small = (b < 150.0) & (r < 10.0)
     bs = b[small]
     if bs.size:
         top = float(bs.max())
@@ -94,7 +85,10 @@ def _kummer_m(r: float, b):
     if bs.size < b.size:
         s, wt = _laggauss(40)
         bl = b[~small]
-        m[~small] = r / bl * (np.exp((r - 1.0) * np.log1p(-s / bl[..., None])) @ wt)
+        c = 1.0 + bl / r
+        x = s / (c[..., None] * r)
+        f = np.where(x < 1e-3, x * x * (0.5 - x * (1 / 6 - x * (1 / 24 - x / 120))), np.expm1(-x) + x)
+        m[~small] = np.exp(bl[..., None] * f) @ wt / c
     return m
 
 
@@ -170,7 +164,7 @@ def en_bound_simple(params: ModelParams) -> float:
 _TAIL_TERMS = 64
 # cap on the k summed directly
 _MAX_HEAD = 200_000
-# head terms per call of f: _kummer_m at r >= 10 holds several (block, 40) arrays at once
+# head terms per call of f: _kummer_m's Gauss-Laguerre rule holds several (block, 40) arrays at once
 _HEAD_BLOCK = 4096
 
 
@@ -183,9 +177,9 @@ def _sum_over_k(f, den: np.ndarray, params: ModelParams, name: str) -> tuple[flo
     stays at or below 1/2, so the two sums are swapped:
     sum_{i>=0} q^{n i} = -1/expm1(n ln q) leaves one power series in the
     first tail b, cut after _TAIL_TERMS terms; the remainder bounds what the
-    cut drops. ConvergenceError where alpha/mu overflows (q rounds to 1) or
-    underflows (q rounds to 0, and den[0] may be 0), or past _MAX_HEAD head
-    terms.
+    cut drops. At rho = 0 it is (0.0, 0, 0.0), whatever r. Otherwise
+    ConvergenceError where alpha/mu overflows (q rounds to 1) or underflows
+    (q rounds to 0, and den[0] may be 0), or past _MAX_HEAD head terms.
     """
     rho = params.lam / params.mu
     if rho == 0.0:
@@ -218,8 +212,6 @@ def en_bound_jensen(params: ModelParams) -> float:
     coefficients r^{-n}; summed over every k by _sum_over_k.
     """
     validate(params)
-    if params.lam == 0.0:
-        return 1.0
     r = params.alpha / params.mu
     return 1.0 + _sum_over_k(lambda b: b / (b + r), np.full(_TAIL_TERMS, r), params, "en_bound_jensen")[0]
 
@@ -231,19 +223,16 @@ def en_exact(params: ModelParams) -> FootprintReport:
     1 - M(1, r + 1, -b) has power-series coefficients 1/(r + 1)_n.
     terms_used_k is the number of k evaluated directly (the head), and
     truncation_bound the last kept term of the power series over the rest,
-    which bounds the dropped ones. ConvergenceError where alpha/mu overflows,
-    past _MAX_HEAD head terms, or where M is not finite.
+    which bounds the dropped ones. ConvergenceError where lam > 0 and
+    alpha/mu overflows, past _MAX_HEAD head terms, or where M is not finite.
     """
     dp = validate(params)
-    simple = 1.0 + dp.rho
-    if params.lam == 0.0:
-        return FootprintReport(1.0, 1.0, simple, 0, 0.0)
     r = params.alpha / params.mu
     den = r + np.arange(1.0, _TAIL_TERMS + 1.0)
     total, head, bound = _sum_over_k(lambda b: 1.0 - _kummer_m(r, b), den, params, "en_exact")
     if not math.isfinite(total):
         raise ConvergenceError("en_exact: M(1, r + 1, -b) not finite")
-    return FootprintReport(1.0 + total, en_bound_jensen(params), simple, head, bound)
+    return FootprintReport(1.0 + total, en_bound_jensen(params), 1.0 + dp.rho, head, bound)
 
 
 def avg_age(params: ModelParams) -> float:

@@ -160,8 +160,10 @@ def cmd_validate(args) -> int:
     # the GIL; none peaks much above 1.6 MiB, about what each thread's malloc arena keeps.
     # map yields in check order, so the output is a serial run's; a check's error is raised
     # after the lines before it and cancels the checks not yet started.
+    # os.sched_getaffinity is missing on macOS and Windows, which count every core as usable
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     ok = True
-    with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+    with ThreadPoolExecutor(cores) as pool:
         for lines in pool.map(lambda check: check(), validation.checks(args.samples, args.seed)):
             for name, passed, detail in lines:
                 ok = ok and passed

@@ -426,15 +426,14 @@ _WS = (0.1, 1.0, 5.0)
 _APPENDIX_ROWS = 27
 
 
-def appendix_identity_checks(grid=None) -> list[tuple[str, float, float, float]]:
+def appendix_identity_checks() -> list[tuple[str, float, float, float]]:
     """Recompute the appendix integrals numerically against their closed forms.
 
     Returns (name, numeric, closed, abs_error) tuples over the grid of
-    (alpha, mu, k, w) combinations; each numeric is one array call per
-    slice of _APPENDIX_ROWS grid rows.
+    (alpha, mu, k, w) in _RATES x _RATES x _KS x _WS; each numeric is one
+    array call per slice of _APPENDIX_ROWS grid rows.
     """
-    if grid is None:
-        grid = [(alpha, mu, k, w) for alpha in _RATES for mu in _RATES for k in _KS for w in _WS]
+    grid = [(alpha, mu, k, w) for alpha in _RATES for mu in _RATES for k in _KS for w in _WS]
     rows = np.array(grid, dtype=float).reshape(-1, 4)
     numeric = []
     for i in range(0, len(rows), _APPENDIX_ROWS):

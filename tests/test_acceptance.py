@@ -232,9 +232,9 @@ class TestCliImport:
         assert child.stdout.strip() == ""
 
     def test_no_scipy_on_analytic_simulate_or_tradeoff(self):
-        # the grids reach every regime of the Kummer function (r below and above
-        # 10, b below and above 150), and so do the p_ek_series and
-        # p_ek_quadrature calls
+        # the grids reach both ways the Kummer function is taken (the Poisson sum
+        # at r < 10 with b < 150, the Gauss-Laguerre rule elsewhere), and so do
+        # the p_ek_series and p_ek_quadrature calls
         code = "\n".join(
             [
                 "import contextlib, io, sys, numpy as np, rcumem.cli",

@@ -204,6 +204,18 @@ class TestKummerM:
                 assert got == pytest.approx(float(analytics._kummer_m(r, x)), rel=1e-15, abs=0.0)
         assert analytics._kummer_m(0.5, np.empty(0)).shape == (0,)
 
+    @pytest.mark.parametrize("r,b", [(8.0, 157.0), (9.99, 150.0)])
+    def test_just_past_the_poisson_sum(self, r, b):
+        assert float(analytics._kummer_m(r, b)) == pytest.approx(_mp_kummer(r, b), rel=1e-15, abs=0.0)
+
+    def test_log_uniform_scan_past_the_poisson_sum(self):
+        # r < 10 with b >= 150, where the Gauss-Laguerre rule takes over from the Poisson sum
+        rng = np.random.default_rng(2026)
+        r = 10.0 ** rng.uniform(-12.0, 1.0, 200)
+        b = 10.0 ** rng.uniform(math.log10(150.0), 13.0, 200)
+        for ri, bi in zip(r.tolist(), b.tolist()):
+            assert float(analytics._kummer_m(ri, bi)) == pytest.approx(_mp_kummer(ri, bi), rel=1e-15, abs=0.0)
+
 
 class TestPEkQuadrature:
     def test_no_readers(self):
@@ -299,11 +311,13 @@ class TestArrayK:
 
 
 class TestFootprint:
-    def test_no_readers_exact_one(self):
-        rep = en_exact(ModelParams(1, 0, 1))
-        assert rep.en_exact == 1.0
-        assert rep.en_bound_jensen == 1.0
-        assert rep.en_bound_simple == 1.0
+    @pytest.mark.parametrize(
+        "alpha,mu", [(1.0, 1.0), (1e300, 1e-10), (1e-300, 1e10)], ids=["unit", "ratio_overflows", "ratio_underflows"]
+    )
+    def test_no_readers_exact_one(self, alpha, mu):
+        p = ModelParams(alpha, 0.0, mu)
+        assert en_exact(p) == analytics.FootprintReport(1.0, 1.0, 1.0, 0, 0.0)
+        assert en_bound_jensen(p) == 1.0
 
     def test_fast_writer_approaches_simple_bound(self):
         rep = en_exact(ModelParams(1000, 10, 1))

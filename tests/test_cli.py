@@ -267,6 +267,12 @@ class TestValidatePool:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert run(capsys, "validate", "--samples", "20000", "--seed", "3") == pooled
 
+    def test_no_sched_getaffinity_gives_the_same_run(self, capsys, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity; the pool is sized from os.cpu_count there
+        pooled = run(capsys, "validate", "--samples", "20000", "--seed", "3")
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert run(capsys, "validate", "--samples", "20000", "--seed", "3") == pooled
+
     def test_more_threads_than_cores_switching_often_give_the_same_run(self, capsys, monkeypatch):
         # a thread per check, each preempted every microsecond: no check may touch another's state
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
