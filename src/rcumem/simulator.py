@@ -18,9 +18,9 @@ publications), so no initial transient is left to discard, and it ends at
 the horizon's last publication.
 A slab's sorted reads fall into runs, one per window [P_k, P_{k+1}) that
 holds any, found by one binary search per read or, where the slab has
-more reads than publications, by one search per publication among the
-reads; a copy's grace end is the largest completion of its run, so
-windows without reads take no grace work.
+more than twice as many reads as publications, by one search per
+publication among the reads; a copy's grace end is the largest
+completion of its run, so windows without reads take no grace work.
 The footprint area needs no sort; only the optional histogram merges the
 extensions' starts and sorted stops. Publications are handled in slabs of
 about 16k events; a slab draws its reads only as far as its end, summed and
@@ -31,6 +31,7 @@ continues the run by any number of publications; simulate makes one call.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -139,22 +140,25 @@ def _read_windows(pub: np.ndarray, a_t: np.ndarray) -> tuple[np.ndarray, np.ndar
     len(a_t)), and every other window holds none. pub and a_t are sorted,
     and every read lies in [pub[0], pub[-1]); of tied publications the last one
     holds the window, so a read at a publication's time sees that
-    publication. Both branches give the same runs, and neither makes an
-    array per read, so the two cost about the same near 1 read per
-    publication, where the switch sits: forced on every slab, the
-    per-publication search (P log R + P against R log P + R) made a run
-    take 1.12-1.15x as long at 0.5 reads per publication, 0.96-0.97x at 1,
-    0.90-0.92x at 2, 0.85-0.90x at 2.5, 0.74-0.77x at 10 and 0.67-0.71x at
-    20 (horizon 100k publications, 2 vCPUs; the ratio of medians over 15
-    interleaved runs, three times).
+    publication. Both branches give the same runs, and the two cost about
+    the same near 2 reads per publication, where the switch sits: forced
+    on every slab, the per-publication search (P log R + P against
+    R log P + R) made a run take 1.09-1.22x as long at 0.5 reads per
+    publication, 1.08-1.10x at 1, 1.01-1.02x at 1.5, 1.01x at 1.75, 0.97x
+    at 2, 0.94x at 2.5, 0.74-0.75x at 10 and 0.66-0.73x at 20 (horizon 100k
+    publications, 2 vCPUs; the ratio of medians over 15 interleaved runs,
+    three times).
     """
-    if len(a_t) > len(pub):
+    if len(a_t) > 2 * len(pub):
         idx = np.searchsorted(a_t, pub, side="left")
         u = np.flatnonzero(np.diff(idx))
         return u, idx[u]
-    win = np.searchsorted(pub, a_t, side="right") - 1
-    first = np.flatnonzero(np.diff(win, prepend=-1))
-    return win[first], first
+    # read i lies in window win[i] - 1; a run starts at the first read and wherever win changes
+    win = np.searchsorted(pub, a_t, side="right")
+    starts = np.ones(len(win), dtype=bool)
+    np.not_equal(win[1:], win[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    return win[first] - 1, first
 
 
 def _stationary_state(params: ModelParams, source: RandomSource) -> tuple:
@@ -221,8 +225,8 @@ class _Run:
         self.arrivals = RandomSource(seed, "arrivals")
         self.services = RandomSource(seed, "services")
         self.slab = max(1, int(_SLAB_EVENTS * alpha / (alpha + lam)))
-        # the histogram's levels, up to a cap of 1 + ceil(10 lam/mu) + 20
-        self.hist = np.zeros(math.ceil(10.0 * lam / mu) + 22) if histogram else None
+        # the time spent at each footprint level so far, up to the highest level held
+        self.hist = np.zeros(0) if histogram else None
         self.state = _stationary_state(params, RandomSource(seed, "initial"))
         self.end = self.last_arr = 0.0
         self.pubs = self.reads_served = 0
@@ -242,17 +246,21 @@ class _Run:
         served count and the reads carried on come from one array of the
         slab's completions: a read is served once it completes before a
         slab's end, so one completing at a call's last publication is still
-        held, and served by the next call. The age area of each sawtooth window, (0.5 dt + age) dt,
-        is built in place in one buffer and summed per batch by
-        np.add.reduceat at the slab's batch boundaries (pairwise, as numpy
-        sums), so the running total adds a few batch sums.
+        held, and served by the next call. The age area of each sawtooth
+        window, (0.5 dt + age) dt, is built in place in one buffer from the
+        spent draws (past the first, the windows' lengths dt) and summed per
+        batch by np.add.reduceat at the slab's batch boundaries (pairwise,
+        as numpy sums), so the running total adds a few batch sums. The
+        histogram grows to the highest level held for a positive time.
         """
         (alpha, lam, mu), hist = self.rates, self.hist
+        top = math.ceil(10.0 * lam / mu) + 21  # the histogram's cap: higher levels are lumped there
         start, origin, arr, comp, open_grace, open_reads = self.state
         end, last_arr, pubs = self.end, self.last_arr, self.pubs
         stop = pubs + publications
         boundaries = boundaries[(pubs < boundaries) & (boundaries <= stop)]
         snaps = np.empty((len(boundaries), 3))
+        bounds, b1 = boundaries.tolist(), 0
         # a slab's publication times and sawtooth window areas, in buffers every slab reuses
         pub_buf = np.empty(min(self.slab, publications) + 1)
         area_buf = np.empty(len(pub_buf) - 1)
@@ -295,7 +303,8 @@ class _Run:
             lo = max(start, 0.0)  # the measurement starts at 0, inside the first slab's window
             # N(t) - 1 counts the extensions: copy pubs+k's on [pub[k+1], its grace end),
             # and a copy carried from an earlier slab's on [lo, its grace end)
-            xs = np.concatenate((np.full(len(open_grace), lo), replaced[ext]))
+            xs = np.concatenate((open_grace, replaced[ext]))
+            xs[: len(open_grace)] = lo
             xe = np.minimum(g_end, end)
             held = xe > xs
             xs, xe = xs[held], xe[held]
@@ -306,19 +315,25 @@ class _Run:
                 order = np.argsort(times, kind="stable")
                 level = np.cumsum(np.where(order < len(xs), 1, -1)) + 1
                 dur = np.diff(np.concatenate(([lo], times[order], [end])))
-                hist += np.bincount(
-                    np.minimum(np.concatenate(([1], level)), len(hist) - 1), weights=dur, minlength=len(hist)
-                )
+                # a level held for no time (a start and a stop at one instant) does not grow it
+                grown = np.bincount(np.minimum(np.concatenate(([1], level)), top), weights=dur, minlength=len(hist))
+                n = len(grown)
+                while n > len(hist) and grown[n - 1] == 0.0:
+                    n -= 1
+                grown[: len(hist)] += hist
+                hist = grown[:n]
 
             # sawtooth age: while copy pubs+k is current, its age runs from pub[k-1] (from
             # origin for k = 0), so each window after the first starts at the previous one's
-            # length; the area (0.5 dt + age) dt is built in place, dt in the spent draws
-            dt = np.subtract(pub[1:], pub[:-1], out=x)
-            area = np.multiply(dt, 0.5, out=area_buf[:n_new])
-            area[1:] += dt[:-1]
-            dt[0] = pub[1] - lo
-            area[0] = 0.5 * dt[0] + (lo - origin)
-            area *= dt
+            # length; the area (0.5 dt + age) dt is built in place, dt in the spent draws: past the
+            # first, they are the windows' lengths, and the first holds window 0's whole length
+            # (where window 1's age starts), then its length clipped at lo
+            x[0] = pub[1] - start
+            area = np.multiply(x, 0.5, out=area_buf[:n_new])
+            area[1:] += x[:-1]
+            x[0] = pub[1] - lo
+            area[0] = 0.5 * x[0] + (lo - origin)
+            area *= x
 
             # a read completing at `end` is carried, with no area, to the next slab
             open_reads = r_end[r_end >= end]
@@ -331,14 +346,14 @@ class _Run:
 
             # a boundary's offset ends a segment of age windows, and one at the slab's
             # last publication ends an empty last segment, which reduceat rejects
-            b0, b1 = np.searchsorted(boundaries, (pubs, pubs + n_new), side="right")
+            b0, b1 = b1, bisect.bisect_right(bounds, pubs + n_new)
             off = boundaries[b0:b1] - pubs
             rows = snaps[b0:b1]
             rows[:, 2] = pub[off]
             rows[:, 0] = [
                 self.area_stale + float(np.maximum(np.minimum(xe, t) - xs, 0.0).sum()) for t in rows[:, 2].tolist()
             ]
-            cum_age = np.cumsum(np.add.reduceat(area, np.concatenate(([0], off[off < len(area)]))))
+            cum_age = np.add.accumulate(np.add.reduceat(area, np.concatenate(([0], off[off < len(area)]))))
             rows[:, 1] = self.area_age + cum_age[: len(off)]
             self.area_stale += float((xe - xs).sum())
             self.area_age += float(cum_age[-1])
@@ -347,6 +362,7 @@ class _Run:
             pubs += n_new
             origin, start = float(pub[-2]), end
         self.state = start, origin, arr, comp, open_grace, open_reads
+        self.hist = hist
         self.end, self.last_arr, self.pubs = end, last_arr, pubs
         return snaps
 

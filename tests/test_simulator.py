@@ -226,9 +226,9 @@ PATHWISE_CASES = {
     # one slab, shorter than the default
     "short_horizon": ((100, 1, 1), dict(seed=2, horizon_publications=1_000), None, RandomSource),
     # publications, arrivals and completions on a 1/8 grid, so the tie order decides windows and
-    # residuals; at about 2 reads per publication, 3 of the 239 slabs of 64 events hold no more reads
-    # than publications, so both _read_windows branches are taken; and at seed 7 a read completes
-    # at the last publication, so it is not served
+    # residuals; at about 2 reads per publication, 63 of the 239 slabs of 64 events hold more than
+    # twice as many reads as publications, so both _read_windows branches are taken; and at seed 7
+    # a read completes at the last publication, so it is not served
     "ties": ((1, 2, 1), dict(seed=7, horizon_publications=5_000), 64, _GridSource),
 }
 
@@ -280,8 +280,8 @@ SLAB_CASES = {
     "write_heavy": ((1000, 1, 1), {"seed": 3, "horizon_publications": 20_000}),
     # one publication per batch: many boundaries per slab, and extensions straddling several
     "batch_per_publication": ((0.5, 10, 1), {"seed": 3, "horizon_publications": 5_000, "batch_count": 5_000}),
-    # about 1 read per publication: slabs fall on both sides of _read_windows' switch
-    "mixed": ((1, 1, 1), {"seed": 3, "horizon_publications": 20_000, "sample_n_distribution": True}),
+    # about 2 reads per publication: slabs fall on both sides of _read_windows' switch
+    "mixed": ((1, 2, 1), {"seed": 3, "horizon_publications": 20_000, "sample_n_distribution": True}),
     # a stationary start at alpha >> mu: the stale copies locked at time 0 stay locked for
     # about 1/mu = 3,000 publications, so they are carried across many slabs of 63
     "stationary_fast_writer": (
@@ -318,7 +318,7 @@ class TestSlabIndependence:
         above = []
 
         def spy(pub, a_t):
-            above.append(len(a_t) > len(pub))
+            above.append(len(a_t) > 2 * len(pub))
             return read_windows(pub, a_t)
 
         monkeypatch.setattr(simulator, "_read_windows", spy)
@@ -612,7 +612,7 @@ class TestReadWindows:
     # tied publications, so windows [1, 1) and [4, 4) are empty
     PUB = np.array([0.0, 1.0, 1.0, 1.0, 2.5, 4.0, 4.0, 4.5, 7.0, 8.0])
 
-    # the per-publication search is taken above len(PUB) = 10 reads
+    # the per-publication search is taken above 2 len(PUB) = 20 reads
     @pytest.mark.parametrize("n_reads", [0, 1, 9, 10, 11, 20, 21, 200])
     def test_matches_loop(self, n_reads):
         rng = np.random.default_rng(n_reads)
@@ -645,7 +645,7 @@ class TestReadWindows:
             pub = np.sort(rng.integers(0, 40, int(rng.integers(2, 30)))).astype(float)
             if pub[-1] == pub[0]:
                 continue
-            # every other slab above the switch at 1 read per publication
+            # every other slab above 1 read per publication, most of those above the switch at 2
             n = int(rng.integers(len(pub) + 1, 6 * len(pub))) if i % 2 else int(rng.integers(0, len(pub) + 1))
             reads = np.concatenate((rng.integers(pub[0], pub[-1], n // 2), rng.uniform(pub[0], pub[-1], n - n // 2)))
             reads = np.sort(reads[reads < pub[-1]])
@@ -740,6 +740,38 @@ class TestHistogramMatchesArea:
         )
         if params[1] == 0:
             assert stats.mean_active_updates == 1.0 and hist == {1: 1.0}
+
+
+class TestHistogramGrowth:
+    """The histogram grows to the highest level held for a positive time, and is not allocated up front."""
+
+    def test_no_levels_allocated_before_the_first_draw(self):
+        # at rho = 1e5 the cap is 1,000,022 levels (7.6 MiB); the stationary draw is about 5 MiB either way
+        def peak(histogram):
+            tracemalloc.start()
+            try:
+                simulator._Run(ModelParams(1, 1e5, 1), 1, histogram)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(True) <= peak(False) + 64 * 1024
+
+    @pytest.mark.parametrize("seed", [0, 21])
+    def test_ends_at_the_highest_level_held(self, seed, monkeypatch):
+        # on the 1/8 grid a start and a stop fall at one instant, so a slab can pass through a level
+        # for no time; at these seeds such a level lies above every level held. Whole or split in
+        # two, the run gives the same levels.
+        monkeypatch.setattr(simulator, "RandomSource", _GridSource)
+        monkeypatch.setattr(simulator, "_SLAB_EVENTS", 64)
+        boundaries = np.array([2000])
+        one, two = (simulator._Run(ModelParams(1, 2, 1), seed, histogram=True) for _ in range(2))
+        one.advance(2000, boundaries)
+        two.advance(1000, boundaries)
+        two.advance(1000, boundaries)
+        assert 0.0 < one.hist[-1] and len(one.hist) < 1 + math.ceil(10.0 * 2) + 21
+        assert one.hist.shape == two.hist.shape
+        np.testing.assert_allclose(two.hist, one.hist, rtol=1e-12, atol=0.0)
 
 
 class TestNDistribution:
