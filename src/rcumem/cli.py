@@ -157,7 +157,8 @@ def cmd_validate(args) -> int:
     from . import validation  # importing it builds the quadrature rules (~7 ms); only validate needs them
 
     # The checks run at once, one thread per usable core, mostly in numpy calls that release
-    # the GIL; none peaks much above 1.6 MiB, about what each thread's malloc arena keeps.
+    # the GIL; none peaks above 2.3 MiB traced (mc_p_ek; the one Lemma 1 pass over k 1.9 MiB),
+    # about what each thread's malloc arena keeps.
     # map yields in check order, so the output is a serial run's; a check's error is raised
     # after the lines before it and cancels the checks not yet started.
     # os.sched_getaffinity is missing on macOS and Windows, which count every core as usable

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _U64 = (1 << 64) - 1
+# the largest mean Generator.poisson takes: its int64 result must hold the draw
+_POISSON_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
 class DomainError(ValueError):
@@ -200,8 +202,8 @@ class RandomSource:
         return float(out[0]) if size is None else out
 
     def poisson(self, mean, size: int | None = None):
-        """Poisson variates; `mean` may be a scalar or an array."""
+        """Poisson variates; `mean` may be a scalar or an array, each in [0, ~9.2e18]."""
         m = np.asarray(mean, dtype=float)
-        if not np.all(np.isfinite(m)) or np.any(m < 0):
-            raise DomainError("poisson mean must be finite and >= 0")
+        if not np.all((m >= 0) & (m <= _POISSON_MAX)):  # NaN fails too
+            raise DomainError(f"poisson mean must be >= 0 and <= {_POISSON_MAX:.4g}")
         return self._gen.poisson(m, size)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import sys
@@ -235,6 +236,14 @@ class TestValidateCommand:
         assert kinds == ["lemma1"] * 81 + ["p_ek"] * 3 + ["series-vs-quadrature", "appendix"]
         has_fail = any(l.startswith("FAIL") for l in lines)
         assert code == (1 if has_fail else 0)
+
+    def test_output_is_pinned(self, capsys):
+        # sha256 of this run's stdout, captured before Lemma 1 was drawn in one pass over k,
+        # w once per mc_p_ek chunk and the appendix integrands were shared
+        code, out, _ = run(capsys, "validate", "--samples", "20000", "--seed", "3")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ae8a2a846cf14df9a1e78c83126b97a0ceff53c4a4f14980ac658efa4e2ff5b8"
+        )
 
     def test_all_checks_pass_with_default_samples(self, capsys):
         # per the published analysis every oracle should agree; the

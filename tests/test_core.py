@@ -10,6 +10,7 @@ from rcumem.core import (
     DomainError,
     ModelParams,
     RandomSource,
+    _POISSON_MAX,
     _legendre_panels,
     b_k,
     validate,
@@ -226,6 +227,20 @@ class TestRandomSource:
             call(rs, bad)
         # nothing was consumed
         assert np.array_equal(rs.uniform(5), RandomSource(3, "s").uniform(5))
+
+    # numpy takes Poisson means up to about 9.2e18 and raised a bare ValueError past that
+    @pytest.mark.parametrize(
+        "mean", [math.nan, math.inf, -1.0, 1e19, [1.0, 1e19], np.nextafter(_POISSON_MAX, math.inf)]
+    )
+    def test_poisson_mean_off_the_range_is_a_domain_error(self, mean):
+        rs = RandomSource(3, "s")
+        with pytest.raises(DomainError):
+            rs.poisson(mean)
+        # nothing was consumed
+        assert np.array_equal(rs.uniform(5), RandomSource(3, "s").uniform(5))
+
+    def test_poisson_takes_the_largest_mean(self):
+        assert RandomSource(3, "s").poisson(_POISSON_MAX) > 0
 
     def test_invalid_args(self):
         rs = RandomSource(1)

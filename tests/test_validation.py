@@ -22,6 +22,7 @@ from rcumem.validation import (
     i4_closed,
     i4_numeric,
     lemma1_cells,
+    lemma1_cells_by_k,
     lemma1_numeric,
     mc_p_ek,
     p_ek_joint_quadrature,
@@ -152,6 +153,24 @@ class TestLemma1Cells:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
 
+    def test_one_pass_over_k_gives_each_k_its_own_pass(self):
+        # 50_001 samples end on a part block; every k takes the same U and X
+        ks = (1, 2, 5, 2)
+        by_k = lemma1_cells_by_k(ks, VALIDATE_CELLS, 50_001, seed=6)
+        assert by_k == [lemma1_cells_by_k((k,), VALIDATE_CELLS, 50_001, seed=6)[0] for k in ks]
+        assert by_k[1] == lemma1_cells(2, VALIDATE_CELLS, 50_001, seed=6)
+
+    @pytest.mark.parametrize("samples", [200_000, 1_000_000])
+    def test_one_pass_over_k_memory_does_not_grow_with_samples(self, samples):
+        # the nine Y arrays of a block are 1.1 MiB, beside one k's Gamma(k, 1) draw and its scaled copies
+        tracemalloc.start()
+        try:
+            lemma1_cells_by_k((1, 2, 5), VALIDATE_CELLS, samples, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
+
     @pytest.mark.parametrize(
         "k,cells,samples",
         [
@@ -173,6 +192,10 @@ class TestMcPEk:
         est = mc_p_ek(ModelParams(1, 0, 1), 1, 20_000, seed=1)
         assert est.estimate == 1.0
         assert est.std_error == 0.0
+
+    def test_reader_mean_past_numpy_poisson_range_is_domain_error(self):
+        with pytest.raises(DomainError):
+            mc_p_ek(ModelParams(1, 1e19, 1), 1, 10_000, 1)
 
     @pytest.mark.parametrize(
         "params,k,samples,seed,estimate",
