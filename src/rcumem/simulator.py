@@ -22,10 +22,14 @@ more than twice as many reads as publications, by one search per
 publication among the reads; a copy's grace end is the largest
 completion of its run, so windows without reads take no grace work.
 The footprint area needs no sort; only the optional histogram merges the
-extensions' starts and sorted stops. Publications are handled in slabs of
-about 16k events; a slab draws its reads only as far as its end, summed and
-completed in place, and carries only the intervals still open and the reads
-drawn past its end to the next, so memory does not grow with the horizon.
+extensions' starts and sorted stops. The sawtooth age area of a batch is
+summed window by window, or, where a slab's batches are long, from two dot
+products of the publication gaps. Publications are handled in slabs of
+about 16k events, twice that where publications outnumber reads; a slab
+draws its reads only as far as its end, summed and completed in place,
+drops its draws before the next slab draws, and carries only the intervals
+still open and the reads drawn past its end to the next, so memory does
+not grow with the horizon.
 That carried state and the running totals are one _Run, whose advance
 continues the run by any number of publications; simulate makes one call.
 """
@@ -39,8 +43,14 @@ import numpy as np
 
 from .core import ModelParams, RandomSource, validate
 
-# publications plus read arrivals handled per array pass
+# publications plus read arrivals handled per array pass; twice as many where publications outnumber reads
 _SLAB_EVENTS = 16384
+# a slab whose batch segments average this many sawtooth windows takes their age areas from dot
+# products; on a slab of 32,735 windows both ways take 32 us there (2 vCPUs)
+_DOT_WINDOWS = 2048
+# the longest dot product taken: OpenBLAS splits one over 10,000 long across threads, and its last bits
+# then depend on the thread count
+_DOT_PIECE = 8192
 
 
 class ConfigError(ValueError):
@@ -161,6 +171,42 @@ def _read_windows(pub: np.ndarray, a_t: np.ndarray) -> tuple[np.ndarray, np.ndar
     return win[first] - 1, first
 
 
+def _age_windows(x: np.ndarray, area0: float, cuts: np.ndarray) -> np.ndarray:
+    """The cumulative sawtooth age area at the end of each segment, summed window by window.
+
+    x[k] is window k's length, but x[0] is window 0's whole length, where
+    window 1's age starts; window 0's own area is area0. Window k > 0 has
+    the area (0.5 x[k] + x[k-1]) x[k]. The segments are the windows between
+    0, the increasing cuts (each in [1, len(x))) and len(x), and each is
+    summed pairwise, as np.add.reduceat sums.
+    """
+    area = np.multiply(x, 0.5)
+    area[1:] += x[:-1]
+    area *= x
+    area[0] = area0
+    return np.add.accumulate(np.add.reduceat(area, np.concatenate(([0], cuts))))
+
+
+def _age_dots(x: np.ndarray, area0: float, cuts: np.ndarray) -> np.ndarray:
+    """_age_windows' result from two dot products per piece of at most _DOT_PIECE windows.
+
+    Windows [s, e), s > 0, have the area 0.5 x[s:e].x[s:e] + x[s-1:e-1].x[s:e].
+    This costs two passes over x where _age_windows takes five, plus about
+    1.6 us per piece, so it pays on long segments: on a slab of 32,735
+    windows it takes 0.5x _age_windows' time at 8,192 windows per segment
+    and 16x at 64. The sums are accumulated in another order, so they can
+    differ in the last bits.
+    """
+    ends = [1, *cuts.tolist(), len(x)]
+    cum, total = [], area0
+    for s, e in zip(ends, ends[1:]):
+        for p in range(s, e, _DOT_PIECE):
+            w = x[p : min(p + _DOT_PIECE, e)]
+            total += 0.5 * float(w.dot(w)) + float(x[p - 1 : p - 1 + len(w)].dot(w))
+        cum.append(total)
+    return np.array(cum)
+
+
 def _stationary_state(params: ModelParams, source: RandomSource) -> tuple:
     """A draw of the process's state at time 0, in equilibrium.
 
@@ -224,7 +270,7 @@ class _Run:
         self.writes = RandomSource(seed, "writes")
         self.arrivals = RandomSource(seed, "arrivals")
         self.services = RandomSource(seed, "services")
-        self.slab = max(1, int(_SLAB_EVENTS * alpha / (alpha + lam)))
+        self.slab = max(1, int((2 if alpha > lam else 1) * _SLAB_EVENTS * alpha / (alpha + lam)))
         # the time spent at each footprint level so far, up to the highest level held
         self.hist = np.zeros(0) if histogram else None
         self.state = _stationary_state(params, RandomSource(seed, "initial"))
@@ -247,10 +293,12 @@ class _Run:
         slab's completions: a read is served once it completes before a
         slab's end, so one completing at a call's last publication is still
         held, and served by the next call. The age area of each sawtooth
-        window, (0.5 dt + age) dt, is built in place in one buffer from the
-        spent draws (past the first, the windows' lengths dt) and summed per
-        batch by np.add.reduceat at the slab's batch boundaries (pairwise,
-        as numpy sums), so the running total adds a few batch sums. The
+        window, (0.5 dt + age) dt, comes from the spent draws (past the
+        first, the windows' lengths dt) and is summed per segment of the
+        slab between its batch boundaries: by two dot products per piece of
+        a segment (_age_dots) where the slab's segments average _DOT_WINDOWS
+        windows or more, otherwise window by window and np.add.reduceat
+        (_age_windows). So the running total adds a few batch sums. The
         histogram grows to the highest level held for a positive time.
         """
         (alpha, lam, mu), hist = self.rates, self.hist
@@ -261,9 +309,8 @@ class _Run:
         boundaries = boundaries[(pubs < boundaries) & (boundaries <= stop)]
         snaps = np.empty((len(boundaries), 3))
         bounds, b1 = boundaries.tolist(), 0
-        # a slab's publication times and sawtooth window areas, in buffers every slab reuses
+        # a slab's publication times, in a buffer every slab reuses
         pub_buf = np.empty(min(self.slab, publications) + 1)
-        area_buf = np.empty(len(pub_buf) - 1)
         while pubs < stop:
             n_new = min(self.slab, stop - pubs)
             # pub[k] is the publish time of copy pubs+k; cumsum adds left to
@@ -323,18 +370,6 @@ class _Run:
                 grown[: len(hist)] += hist
                 hist = grown[:n]
 
-            # sawtooth age: while copy pubs+k is current, its age runs from pub[k-1] (from
-            # origin for k = 0), so each window after the first starts at the previous one's
-            # length; the area (0.5 dt + age) dt is built in place, dt in the spent draws: past the
-            # first, they are the windows' lengths, and the first holds window 0's whole length
-            # (where window 1's age starts), then its length clipped at lo
-            x[0] = pub[1] - start
-            area = np.multiply(x, 0.5, out=area_buf[:n_new])
-            area[1:] += x[:-1]
-            x[0] = pub[1] - lo
-            area[0] = 0.5 * x[0] + (lo - origin)
-            area *= x
-
             # a read completing at `end` is carried, with no area, to the next slab
             open_reads = r_end[r_end >= end]
             self.reads_served += len(r_end) - len(open_reads)
@@ -344,16 +379,27 @@ class _Run:
             r_end[n_open:] -= np.maximum(a_t, lo) if pubs == 0 else a_t
             self.area_reads += float(r_end.sum())
 
-            # a boundary's offset ends a segment of age windows, and one at the slab's
-            # last publication ends an empty last segment, which reduceat rejects
             b0, b1 = b1, bisect.bisect_right(bounds, pubs + n_new)
             off = boundaries[b0:b1] - pubs
             rows = snaps[b0:b1]
             rows[:, 2] = pub[off]
-            rows[:, 0] = [
-                self.area_stale + float(np.maximum(np.minimum(xe, t) - xs, 0.0).sum()) for t in rows[:, 2].tolist()
-            ]
-            cum_age = np.add.accumulate(np.add.reduceat(area, np.concatenate(([0], off[off < len(area)]))))
+            # the extensions' area up to each boundary, a block of boundaries (2**15 doubles) at a
+            # time; a row is contiguous, so it sums pairwise, as one boundary's array would
+            step = max(1, 2**15 // max(len(xe), 1))
+            for i in range(0, len(rows), step):
+                part = np.minimum(xe, rows[i : i + step, 2:])
+                part -= xs
+                rows[i : i + step, 0] = self.area_stale + np.maximum(part, 0.0, out=part).sum(axis=1)
+            # sawtooth age: while copy pubs+k is current, its age runs from pub[k-1] (from origin
+            # for k = 0), so the spent draws x are the windows' lengths and each window past the
+            # first starts at the previous one's; window 0 is clipped at lo. A boundary's offset
+            # ends a segment of windows, and one at the slab's last publication ends the last
+            x[0] = pub[1] - start
+            w0 = float(pub[1]) - lo
+            cuts = off[off < n_new]
+            age_sums = _age_dots if n_new >= _DOT_WINDOWS * (len(cuts) + 1) else _age_windows
+            cum_age = age_sums(x, (0.5 * w0 + (lo - origin)) * w0, cuts)
+            del x  # the spent draws, before the next slab draws
             rows[:, 1] = self.area_age + cum_age[: len(off)]
             self.area_stale += float((xe - xs).sum())
             self.area_age += float(cum_age[-1])

@@ -465,8 +465,8 @@ _KS = (1, 2, 5)
 _WS = (0.1, 1.0, 5.0)
 
 # grid rows per array call: the numerics' temporaries are rows x 656 nodes, so
-# the 81-row default grid in one call peaked at 2.9 MiB and 27 rows peak at
-# 1.0 MiB; rows do not interact, so any slicing gives the same values
+# the 81-row default grid in one call peaks at 3.3 MiB and 27 rows at 1.25 MiB
+# (traced, numpy 2.4.6); rows do not interact, so any slicing gives the same values
 _APPENDIX_ROWS = 27
 
 

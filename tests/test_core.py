@@ -158,6 +158,7 @@ class TestRandomSource:
 
     def test_exponential_needs_no_temporaries(self):
         # 1e6 doubles are 7.6 MiB; the uniforms are transformed in place
+        RandomSource(0)  # numpy.random's import is not the sampler's
         tracemalloc.start()
         try:
             RandomSource(7, "e").exponential(2.0, 1_000_000)

@@ -215,7 +215,8 @@ PATHWISE_CASES = {
     "no_readers": ((2, 0, 1), dict(seed=3, horizon_publications=5_000), None, RandomSource),
     # about 10 reads in service at 0 and 67 arrivals over the run's 6.7 time units
     "fast_writer": ((3000, 10, 1), dict(seed=9, horizon_publications=20_000), None, RandomSource),
-    # slabs of 63 publications: the stale copies locked at 0 are carried across many of them
+    # slabs of 127 publications (twice 64 * 3000/3010, as publications outnumber reads): the stale
+    # copies locked at 0 are carried across many of them
     "fast_writer_small_slabs": ((3000, 10, 1), dict(seed=9, horizon_publications=20_000), 64, RandomSource),
     "read_heavy": ((0.5, 10, 1), dict(seed=4, horizon_publications=2_000), None, RandomSource),
     # one batch per publication in slabs of 3 publications: boundaries fall in every slab, and
@@ -252,6 +253,8 @@ class TestPathwise:
         assert got.n_histogram == pytest.approx(want.n_histogram, rel=1e-9, abs=0.0)
 
     def test_memory_flat_in_horizon(self):
+        RandomSource(0)  # numpy.random's import is not the simulator's
+
         def peak(horizon):
             tracemalloc.start()
             try:
@@ -263,9 +266,13 @@ class TestPathwise:
         assert peak(400_000) <= 1.5 * peak(50_000)
 
     def test_peak_within_six_slab_arrays(self):
-        # the slab-length arrays are a slab's draws (two while the next ones are drawn), its
-        # publication times and its age areas, with room to spare
+        # a slab here holds 2 slab = 32,735 publications, as publications outnumber reads; the run
+        # holds two such arrays, the slab's draws and its publication times (the draws are dropped
+        # before the next slab draws, and the age areas of its 10,000-window batches are dot
+        # products), so the peak is about 4 slab arrays, with room to spare. numpy.random is
+        # imported first, since its import is not the simulator's
         slab = int(simulator._SLAB_EVENTS * 1000 / 1001)
+        RandomSource(0)
         tracemalloc.start()
         try:
             simulate(ModelParams(1000, 1, 1), SimConfig(seed=1, horizon_publications=200_000))
@@ -283,12 +290,15 @@ SLAB_CASES = {
     # about 2 reads per publication: slabs fall on both sides of _read_windows' switch
     "mixed": ((1, 2, 1), {"seed": 3, "horizon_publications": 20_000, "sample_n_distribution": True}),
     # a stationary start at alpha >> mu: the stale copies locked at time 0 stay locked for
-    # about 1/mu = 3,000 publications, so they are carried across many slabs of 63
+    # about 1/mu = 3,000 publications, so they are carried across many slabs of 127
     "stationary_fast_writer": (
         (3000, 10, 1), {"seed": 3, "horizon_publications": 20_000, "sample_n_distribution": True}
     ),
-    # a horizon shorter than one default slab of 16,221 publications
+    # a horizon shorter than one default slab of 32,443 publications
     "short_horizon": ((100, 1, 1), {"seed": 3, "horizon_publications": 1_000, "sample_n_distribution": True}),
+    # 3,400-window batches: the first default slab of 32,735 publications takes its age areas from
+    # dot products, the last one (1,265) and the slabs of 127 and 1,998 window by window
+    "long_batches": ((1000, 1, 1), {"seed": 3, "horizon_publications": 34_000, "batch_count": 10}),
 }
 
 
@@ -326,12 +336,35 @@ class TestSlabIndependence:
         simulate(ModelParams(*params), SimConfig(**kw))
         assert any(above) and not all(above)
 
+    @pytest.mark.parametrize(
+        "slab_events,paths",
+        [(64, {"windows"}), (1000, {"windows"}), (simulator._SLAB_EVENTS, {"dots", "windows"})],
+    )
+    def test_long_batch_case_takes_both_age_paths(self, slab_events, paths, monkeypatch):
+        params, kw = SLAB_CASES["long_batches"]
+        taken = set()
+
+        def spy(name):
+            age_sums = getattr(simulator, f"_age_{name}")
+
+            def counted(*args):
+                taken.add(name)
+                return age_sums(*args)
+
+            return counted
+
+        for name in ("dots", "windows"):
+            monkeypatch.setattr(simulator, f"_age_{name}", spy(name))
+        monkeypatch.setattr(simulator, "_SLAB_EVENTS", slab_events)
+        simulate(ModelParams(*params), SimConfig(**kw))
+        assert taken == paths
+
 
 # (params, horizon, _SLAB_EVENTS or None for the default, stream class)
 RESUME_CASES = {
     "readers": ((1, 3, 1), 5_000, None, RandomSource),
     "no_readers": ((2, 0, 1), 5_000, None, RandomSource),
-    # two default slabs, and stale copies locked at 0 for about 3,000 publications
+    # one default slab of 32,659 publications, and stale copies locked at 0 for about 3,000 publications
     "fast_writer": ((3000, 10, 1), 20_000, None, RandomSource),
     "small_slabs": ((0.5, 10, 1), 2_000, 64, RandomSource),
     # event times on a 1/8 grid, so the tie order decides windows and residuals
@@ -695,10 +728,12 @@ class TestAgeSums:
         "params,kw,slab_events",
         [
             ((3, 2, 1), dict(seed=5, horizon_publications=5_000, batch_count=10), None),
-            # all 20 boundaries fall inside the one slab of 10,922 publications
+            # all 20 boundaries fall inside the one slab (of up to 21,845 publications)
             ((1, 0.5, 1), dict(seed=6, horizon_publications=10_000, batch_count=20), None),
             # slabs of 250 * 2/5 = 100 publications from time 0: every boundary is a slab's last publication
             ((2, 3, 1), dict(seed=7, horizon_publications=2_000, batch_count=20), 250),
+            # 5,000-window batches in slabs of 32,735 and 17,265 publications: dot products on every slab
+            ((1000, 1, 1), dict(seed=8, horizon_publications=50_000, batch_count=10), None),
         ],
     )
     def test_matches_fsum_over_windows(self, params, kw, slab_events, monkeypatch):
@@ -710,6 +745,22 @@ class TestAgeSums:
         assert stats.mean_age == pytest.approx(mean_age, rel=1e-12, abs=0.0)
         # the simulator's batch areas are differences of running totals, which lose a few digits
         assert stats.ci_half_width_age == pytest.approx(ci_age, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "n,cuts",
+        [
+            (32_735, [1, 2, 8_193, 8_194, 30_000]),  # one-window segments, and pieces cut at 8,192 windows
+            (32_735, []),  # one segment of four pieces
+            (20_000, list(range(1_000, 20_000, 1_000))),
+            (3, [1, 2]),
+        ],
+    )
+    def test_dot_products_match_window_sums(self, n, cuts):
+        x = np.random.default_rng(n + len(cuts)).exponential(1e-3, n)
+        cuts = np.array(cuts, dtype=np.int64)
+        got, want = simulator._age_dots(x, 0.25, cuts), simulator._age_windows(x, 0.25, cuts)
+        assert got.shape == want.shape == (len(cuts) + 1,)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 class TestTQuantile:
@@ -747,6 +798,8 @@ class TestHistogramGrowth:
 
     def test_no_levels_allocated_before_the_first_draw(self):
         # at rho = 1e5 the cap is 1,000,022 levels (7.6 MiB); the stationary draw is about 5 MiB either way
+        RandomSource(0)  # numpy.random's import is not the simulator's
+
         def peak(histogram):
             tracemalloc.start()
             try:

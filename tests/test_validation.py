@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaincc
 
-from rcumem.core import ConvergenceError, DomainError, ModelParams
+from rcumem.core import ConvergenceError, DomainError, ModelParams, RandomSource
 from rcumem.analytics import lemma1_epsilon, p_ek_quadrature, p_ek_series
 from rcumem import validation
 from rcumem.validation import (
@@ -145,6 +145,7 @@ class TestLemma1Cells:
     @pytest.mark.parametrize("samples", [200_000, 1_000_000])
     def test_memory_does_not_grow_with_samples(self, samples):
         # held whole, the k = 5 unit draws alone are 7 doubles per sample: 10.7 MiB at 2e5, 53 MiB at 1e6
+        RandomSource(0)  # numpy.random's import (about 0.56 MiB traced) is not the oracle's
         tracemalloc.start()
         try:
             lemma1_cells(5, VALIDATE_CELLS, samples, seed=1)
@@ -163,6 +164,7 @@ class TestLemma1Cells:
     @pytest.mark.parametrize("samples", [200_000, 1_000_000])
     def test_one_pass_over_k_memory_does_not_grow_with_samples(self, samples):
         # the nine Y arrays of a block are 1.1 MiB, beside one k's Gamma(k, 1) draw and its scaled copies
+        RandomSource(0)  # numpy.random's import is not the oracle's
         tracemalloc.start()
         try:
             lemma1_cells_by_k((1, 2, 5), VALIDATE_CELLS, samples, seed=1)
@@ -216,6 +218,7 @@ class TestMcPEk:
         # about 1e6 readers per 1e5-sample chunk at lambda = 10 (7.6 MiB per
         # per-reader array) are drawn in blocks of about 16k; what is left is
         # the chunk's per-sample w, m, L and reader offsets
+        RandomSource(0)  # numpy.random's import is not the oracle's
         tracemalloc.start()
         try:
             mc_p_ek(ModelParams(1, 10, 1), 1, 200_000, seed=5)
@@ -227,6 +230,7 @@ class TestMcPEk:
     def test_memory_is_streamed_through_the_chunk(self):
         # the counts m, and w and L beside the readers, come in blocks too:
         # what is held whole is the chunk's int64 reader offsets (0.8 MiB)
+        RandomSource(0)  # numpy.random's import is not the oracle's
         tracemalloc.start()
         try:
             mc_p_ek(ModelParams(1, 10, 1), 1, 200_000, seed=5)
@@ -325,7 +329,7 @@ class TestAppendixIdentities:
             assert appendix_identity_checks() == sliced
 
     def test_memory_is_per_slice(self):
-        # the whole 81-row default grid in one call peaked at 2.9 MiB
+        # the whole 81-row default grid in one call peaks at 3.3 MiB
         tracemalloc.start()
         try:
             appendix_identity_checks()
